@@ -161,9 +161,6 @@ pub struct AdmissionController {
     /// Unregulated path counter per (src leaf): round-robin spine
     /// assignment for best-effort flows.
     rr_spine: Vec<u16>,
-    /// Scratch for candidate-link scans (admission scores every spine
-    /// per flow; reusing one buffer keeps the scan allocation-free).
-    scratch: Vec<LinkId>,
 }
 
 impl AdmissionController {
@@ -177,7 +174,6 @@ impl AdmissionController {
             reserved: vec![0; net.n_links() as usize],
             link_up: vec![true; net.n_links() as usize],
             rr_spine: vec![0; net.params().leaves as usize],
-            scratch: Vec::with_capacity(4),
         }
     }
 
@@ -209,7 +205,22 @@ impl AdmissionController {
         self.reserved[link.idx()] as f64 / self.capacity as f64
     }
 
-    /// Try to admit a regulated flow of `bw` from `src` to `dst`.
+    /// Try to admit a regulated flow of `bw` from `src` to `dst`,
+    /// returning the reserved route (see
+    /// [`AdmissionController::admit_choice`] for how it is chosen).
+    pub fn admit(
+        &mut self,
+        net: &FoldedClos,
+        src: HostId,
+        dst: HostId,
+        bw: Bandwidth,
+    ) -> Result<AdmittedFlow, AdmissionError> {
+        let choice = self.admit_choice(net, src, dst, bw)?;
+        Ok(AdmittedFlow { route: net.route(src, dst, choice), choice })
+    }
+
+    /// Try to admit a regulated flow of `bw` from `src` to `dst`,
+    /// returning the path choice whose links now carry the reservation.
     ///
     /// All candidate fixed paths are examined; the one whose *worst* link
     /// would be least utilised after the reservation wins. The worst link
@@ -219,61 +230,74 @@ impl AdmissionController {
     /// exactly by the spine transit links — and then on the lowest spine
     /// index, keeping the choice deterministic. Fails if every candidate
     /// would oversubscribe some link.
-    pub fn admit(
+    ///
+    /// Scoring reads the two end links once and, per candidate spine,
+    /// only its uplink and downlink from the topology's flat link tables:
+    /// no route, link list or other allocation is made for any
+    /// candidate, winner included.
+    pub fn admit_choice(
         &mut self,
         net: &FoldedClos,
         src: HostId,
         dst: HostId,
         bw: Bandwidth,
-    ) -> Result<AdmittedFlow, AdmissionError> {
+    ) -> Result<u16, AdmissionError> {
+        assert_ne!(src, dst, "no route from a host to itself");
         let request = bw.as_bytes_per_sec();
-        let choices = net.route_choices(src, dst);
-        // Candidates are scored off the scratch link scan alone; only the
-        // winner is materialised as a Route (admission runs once per video
-        // stream, and the per-candidate allocations used to dominate
-        // network construction).
-        let mut links = std::mem::take(&mut self.scratch);
-        let mut best: Option<(u16, (u64, u64))> = None;
+        let (reserved, up) = (&self.reserved, &self.link_up);
+        let inject = net.host_out_link(src).link.idx();
+        let deliver = net.host_delivery_link(dst).idx();
+        if !up[inject] || !up[deliver] {
+            return Err(AdmissionError::NoUsablePath);
+        }
+        let end_worst = (reserved[inject] + request).max(reserved[deliver] + request);
+        let end_total = reserved[inject] + reserved[deliver];
+        let (src_leaf, dst_leaf) = (net.leaf_of(src), net.leaf_of(dst));
+        let spine_links = |choice| {
+            (net.spine_uplink(src_leaf, choice).idx(), net.spine_downlink(choice, dst_leaf).idx())
+        };
+        // `best` is only meaningful once `best_choice` names a candidate.
+        const NONE: u16 = u16::MAX;
+        let mut best_choice = NONE;
+        let mut best = (0, 0);
         let mut any_usable = false;
-        for choice in 0..choices {
-            net.links_for_choice(src, dst, choice, &mut links);
-            if links.iter().any(|l| !self.link_up[l.idx()]) {
-                continue;
-            }
+        if src_leaf == dst_leaf {
             any_usable = true;
-            let worst_after = links
-                .iter()
-                .map(|l| self.reserved[l.idx()] + request)
-                .max()
-                // tidy: allow(no-unwrap) -- links_for_choice is non-empty
-                // for any host-to-host route (at least the two edge links).
-                .expect("route has links");
-            if worst_after > self.capacity {
-                continue;
+            if end_worst <= self.capacity {
+                best_choice = 0;
             }
-            let total_after: u64 = links.iter().map(|l| self.reserved[l.idx()]).sum();
-            let key = (worst_after, total_after);
-            let better = match &best {
-                None => true,
-                Some((_, k)) => key < *k,
-            };
-            if better {
-                best = Some((choice, key));
+        } else {
+            for choice in 0..net.params().spines {
+                let (l_up, l_down) = spine_links(choice);
+                let usable = up[l_up] & up[l_down];
+                any_usable |= usable;
+                let (r_up, r_down) = (reserved[l_up], reserved[l_down]);
+                let worst_after = end_worst.max(r_up + request).max(r_down + request);
+                let key = (worst_after, end_total + r_up + r_down);
+                // Non-short-circuit `&`/`|`: one data-dependent branch per
+                // candidate instead of four.
+                let better = (best_choice == NONE) | (key < best);
+                if usable & (worst_after <= self.capacity) & better {
+                    best = key;
+                    best_choice = choice;
+                }
             }
         }
-        let out = match best {
-            Some((choice, _)) => {
-                net.links_for_choice(src, dst, choice, &mut links);
-                for l in &links {
-                    self.reserved[l.idx()] += request;
-                }
-                Ok(AdmittedFlow { route: net.route(src, dst, choice), choice })
-            }
-            None if !any_usable => Err(AdmissionError::NoUsablePath),
-            None => Err(AdmissionError::NoCapacity { requested_bytes_per_sec: request }),
-        };
-        self.scratch = links;
-        out
+        if best_choice == NONE {
+            return Err(if any_usable {
+                AdmissionError::NoCapacity { requested_bytes_per_sec: request }
+            } else {
+                AdmissionError::NoUsablePath
+            });
+        }
+        self.reserved[inject] += request;
+        self.reserved[deliver] += request;
+        if src_leaf != dst_leaf {
+            let (l_up, l_down) = spine_links(best_choice);
+            self.reserved[l_up] += request;
+            self.reserved[l_down] += request;
+        }
+        Ok(best_choice)
     }
 
     /// Release a previously admitted reservation.
@@ -289,9 +313,25 @@ impl AdmissionController {
         route: &Route,
         bw: Bandwidth,
     ) -> Result<(), AdmissionError> {
+        self.release_links(&net.links_on_route(route), bw)
+    }
+
+    /// [`AdmissionController::release`] for the route identified by its
+    /// path choice, as returned by [`AdmissionController::admit_choice`].
+    pub fn release_choice(
+        &mut self,
+        net: &FoldedClos,
+        src: HostId,
+        dst: HostId,
+        choice: u16,
+        bw: Bandwidth,
+    ) -> Result<(), AdmissionError> {
+        self.release_links(&net.links_for_choice(src, dst, choice), bw)
+    }
+
+    fn release_links(&mut self, links: &[LinkId], bw: Bandwidth) -> Result<(), AdmissionError> {
         let request = bw.as_bytes_per_sec();
-        let links = net.links_on_route(route);
-        for l in &links {
+        for l in links {
             let r = self.reserved[l.idx()];
             if r < request {
                 return Err(AdmissionError::ReleaseUnderflow {
@@ -301,13 +341,19 @@ impl AdmissionController {
                 });
             }
         }
-        for l in &links {
+        for l in links {
             self.reserved[l.idx()] -= request;
         }
         Ok(())
     }
 
-    /// Assign a fixed path to an unregulated flow (no reservation).
+    /// Whether every link of path `choice` from `src` to `dst` is healthy.
+    pub fn path_is_up(&self, net: &FoldedClos, src: HostId, dst: HostId, choice: u16) -> bool {
+        net.links_for_choice(src, dst, choice).iter().all(|l| self.link_up[l.idx()])
+    }
+
+    /// Assign a fixed path to an unregulated flow (no reservation) and
+    /// return its path choice.
     ///
     /// Inter-leaf flows round-robin over spines per source leaf, which is
     /// the "admission control can ensure load balancing when assigning
@@ -317,26 +363,22 @@ impl AdmissionController {
     /// if *every* candidate is degraded the round-robin choice is
     /// returned anyway — its packets will be dropped (and counted) at the
     /// failed link rather than silently rerouted.
-    pub fn assign_unregulated_path(&mut self, net: &FoldedClos, src: HostId, dst: HostId) -> Route {
+    pub fn assign_unregulated_choice(&mut self, net: &FoldedClos, src: HostId, dst: HostId) -> u16 {
         let choices = net.route_choices(src, dst);
         if choices == 1 {
-            return net.route(src, dst, 0);
+            return 0;
         }
         let leaf = net.leaf_of(src).idx();
         let start = self.rr_spine[leaf] % choices;
-        let mut links = std::mem::take(&mut self.scratch);
         for k in 0..choices {
             let choice = (start + k) % choices;
-            net.links_for_choice(src, dst, choice, &mut links);
-            if links.iter().all(|l| self.link_up[l.idx()]) {
+            if self.path_is_up(net, src, dst, choice) {
                 self.rr_spine[leaf] = (choice + 1) % choices;
-                self.scratch = links;
-                return net.route(src, dst, choice);
+                return choice;
             }
         }
-        self.scratch = links;
         self.rr_spine[leaf] = (start + 1) % choices;
-        net.route(src, dst, start)
+        start
     }
 
     /// Export the controller's full mutable state (ledger, link health,
@@ -491,16 +533,16 @@ mod tests {
             let adm = ac.admit(&net, HostId(0), HostId(127), bw).unwrap();
             assert_ne!(adm.choice, 0, "failed spine must not be chosen");
             ac.release(&net, &adm.route, bw).unwrap();
-            let r = ac.assign_unregulated_path(&net, HostId(0), HostId(127));
-            assert_ne!(r.hop(1).unwrap().switch, net.spine(0), "unregulated too");
+            let c = ac.assign_unregulated_choice(&net, HostId(0), HostId(127));
+            assert_ne!(c, 0, "unregulated too");
         }
         ac.restore_link(up);
         ac.restore_link(down);
         let mut used = std::collections::HashSet::new();
         for _ in 0..8 {
-            used.insert(ac.assign_unregulated_path(&net, HostId(0), HostId(127)).hop(1).unwrap().switch);
+            used.insert(ac.assign_unregulated_choice(&net, HostId(0), HostId(127)));
         }
-        assert!(used.contains(&net.spine(0)), "restored spine is used again");
+        assert!(used.contains(&0), "restored spine is used again");
     }
 
     #[test]
@@ -512,8 +554,8 @@ mod tests {
         let err = ac.admit(&net, HostId(0), HostId(127), Bandwidth::gbps(1)).unwrap_err();
         assert_eq!(err, AdmissionError::NoUsablePath);
         // The unregulated fallback still returns a (doomed) fixed route.
-        let r = ac.assign_unregulated_path(&net, HostId(0), HostId(127));
-        assert!(net.check_route(&r).is_ok());
+        let c = ac.assign_unregulated_choice(&net, HostId(0), HostId(127));
+        assert!(net.check_route(&net.route(HostId(0), HostId(127), c)).is_ok());
     }
 
     #[test]
@@ -556,8 +598,7 @@ mod tests {
         let mut ac = AdmissionController::new(&net, LINK, 1.0);
         let mut spines = vec![];
         for _ in 0..8 {
-            let r = ac.assign_unregulated_path(&net, HostId(0), HostId(127));
-            spines.push(r.hop(1).unwrap().switch);
+            spines.push(ac.assign_unregulated_choice(&net, HostId(0), HostId(127)));
         }
         let distinct: std::collections::HashSet<_> = spines.iter().collect();
         assert_eq!(distinct.len(), 8, "round robin covers all spines");
@@ -572,7 +613,7 @@ mod tests {
         let bw = Bandwidth::gbps(1);
         for i in 0..12u32 {
             let _ = ac.admit(&net, HostId(i % 8), HostId(64 + i), bw);
-            let _ = ac.assign_unregulated_path(&net, HostId(i % 16), HostId(127));
+            let _ = ac.assign_unregulated_choice(&net, HostId(i % 16), HostId(127));
         }
         ac.fail_link(net.host_delivery_link(HostId(9)));
         let snap = ac.export_state();
@@ -590,9 +631,9 @@ mod tests {
         let b = fresh.admit(&net, HostId(3), HostId(120), bw).unwrap();
         assert_eq!(a.choice, b.choice);
         assert_eq!(ac.state_digest(), fresh.state_digest());
-        let ra = ac.assign_unregulated_path(&net, HostId(0), HostId(127));
-        let rb = fresh.assign_unregulated_path(&net, HostId(0), HostId(127));
-        assert_eq!(ra.port_path(), rb.port_path());
+        let ra = ac.assign_unregulated_choice(&net, HostId(0), HostId(127));
+        let rb = fresh.assign_unregulated_choice(&net, HostId(0), HostId(127));
+        assert_eq!(ra, rb);
     }
 
     #[test]
@@ -625,6 +666,152 @@ mod tests {
         let mut m = base;
         m.capacity += 1;
         assert_ne!(m.digest(), d0);
+    }
+
+    /// The scorer as it stood before the flat link tables, kept verbatim
+    /// as the differential reference for [`AdmissionController::admit_choice`].
+    /// Its links come from walking a materialised `Route` through the
+    /// switch wiring, so it shares nothing with the tables under test.
+    fn reference_admit(
+        ac: &mut AdmissionController,
+        net: &FoldedClos,
+        src: HostId,
+        dst: HostId,
+        bw: Bandwidth,
+    ) -> Result<u16, AdmissionError> {
+        let request = bw.as_bytes_per_sec();
+        let choices = net.route_choices(src, dst);
+        let mut best: Option<(u16, (u64, u64))> = None;
+        let mut any_usable = false;
+        for choice in 0..choices {
+            let links = net.links_on_route(&net.route(src, dst, choice));
+            if links.iter().any(|l| !ac.link_up[l.idx()]) {
+                continue;
+            }
+            any_usable = true;
+            let worst_after = links
+                .iter()
+                .map(|l| ac.reserved[l.idx()] + request)
+                .max()
+                .expect("route has links");
+            if worst_after > ac.capacity {
+                continue;
+            }
+            let total_after: u64 = links.iter().map(|l| ac.reserved[l.idx()]).sum();
+            let key = (worst_after, total_after);
+            let better = match &best {
+                None => true,
+                Some((_, k)) => key < *k,
+            };
+            if better {
+                best = Some((choice, key));
+            }
+        }
+        match best {
+            Some((choice, _)) => {
+                for l in net.links_on_route(&net.route(src, dst, choice)) {
+                    ac.reserved[l.idx()] += request;
+                }
+                Ok(choice)
+            }
+            None if !any_usable => Err(AdmissionError::NoUsablePath),
+            None => Err(AdmissionError::NoCapacity { requested_bytes_per_sec: request }),
+        }
+    }
+
+    /// Over seeded random ledgers (empty, random, near-full and
+    /// tie-heavy fills; healthy to heavily failed links; whole leaves cut
+    /// off from the spines), the table-driven scorer returns exactly the
+    /// reference's answer for every request and leaves an identical
+    /// ledger behind.
+    #[test]
+    fn table_scorer_matches_reference_scorer() {
+        use dqos_sim_core::SimRng;
+        use dqos_topology::SwitchId;
+        for params in [ClosParams::paper(), ClosParams::scaled(16)] {
+            let net = FoldedClos::build(params);
+            let n = net.n_hosts() as usize;
+            let d = params.hosts_per_leaf as usize;
+            let mut rng = SimRng::new(0xAD31_5510 ^ n as u64);
+            let mut ac = AdmissionController::new(&net, LINK, 1.0);
+            let cap = ac.capacity;
+            // [inter-leaf Ok, intra-leaf Ok, NoCapacity, NoUsablePath]
+            let mut seen = [0u32; 4];
+            for episode in 0..80 {
+                let mut state = ac.export_state();
+                let fill = rng.index(4);
+                let down_pct = [0usize, 2, 10, 40][rng.index(4)];
+                for l in 0..state.reserved.len() {
+                    state.reserved[l] = match fill {
+                        0 => 0,
+                        1 => rng.range_u64(0, cap),
+                        2 => cap - rng.range_u64(0, cap / 8),
+                        _ => rng.range_u64(0, 4) * (cap / 8),
+                    };
+                    state.link_up[l] = rng.index(100) >= down_pct;
+                }
+                if episode % 4 == 0 {
+                    // Cut one leaf off every spine: its inter-leaf pairs
+                    // have healthy end links but no usable path.
+                    let leaf = SwitchId(rng.index(params.leaves as usize) as u32);
+                    for c in 0..params.spines {
+                        state.link_up[net.spine_uplink(leaf, c).idx()] = false;
+                    }
+                }
+                ac.restore_state(&state).unwrap();
+                for i in 0..100 {
+                    let src = rng.index(n);
+                    let dst = if rng.chance(0.25) {
+                        // Same leaf, different host.
+                        let leaf_base = src - src % d;
+                        leaf_base + (src % d + 1 + rng.index(d - 1)) % d
+                    } else {
+                        (src + 1 + rng.index(n - 1)) % n
+                    };
+                    let (src, dst) = (HostId(src as u32), HostId(dst as u32));
+                    let bw = Bandwidth::bytes_per_sec(rng.range_u64(1, cap / 4));
+                    let mut reference = ac.clone();
+                    let want = reference_admit(&mut reference, &net, src, dst, bw);
+                    let got = if i % 2 == 0 {
+                        ac.admit_choice(&net, src, dst, bw)
+                    } else {
+                        ac.admit(&net, src, dst, bw).map(|adm| adm.choice)
+                    };
+                    assert_eq!(got, want, "{params:?} episode {episode}: {src} -> {dst} at {bw:?}");
+                    assert_eq!(ac.export_state(), reference.export_state());
+                    let intra = net.leaf_of(src) == net.leaf_of(dst);
+                    seen[match got {
+                        Ok(_) if intra => 1,
+                        Ok(_) => 0,
+                        Err(AdmissionError::NoCapacity { .. }) => 2,
+                        Err(_) => 3,
+                    }] += 1;
+                }
+            }
+            assert!(seen.iter().all(|&c| c > 0), "{params:?}: every outcome exercised {seen:?}");
+        }
+    }
+
+    #[test]
+    fn release_choice_matches_release_of_route() {
+        let net = net();
+        let mut by_route = AdmissionController::new(&net, LINK, 1.0);
+        let bw = Bandwidth::gbps(1);
+        let mut flows = Vec::new();
+        for i in 0..24u32 {
+            let (src, dst) = (HostId(i * 5 % 128), HostId((i * 37 + 3) % 128));
+            flows.push((src, dst, by_route.admit(&net, src, dst, bw).unwrap()));
+        }
+        let mut by_choice = by_route.clone();
+        for (src, dst, adm) in &flows {
+            by_route.release(&net, &adm.route, bw).unwrap();
+            by_choice.release_choice(&net, *src, *dst, adm.choice, bw).unwrap();
+            assert_eq!(by_route.export_state(), by_choice.export_state());
+        }
+        assert_eq!(by_choice.max_utilization(), 0.0);
+        let (src, dst, adm) = &flows[0];
+        let err = by_choice.release_choice(&net, *src, *dst, adm.choice, bw).unwrap_err();
+        assert!(matches!(err, AdmissionError::ReleaseUnderflow { .. }));
     }
 
     #[test]

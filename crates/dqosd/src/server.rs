@@ -34,7 +34,7 @@ use crate::wire::{ErrCode, Op, QueryStats, Reply, ReqClass, Request, Response, N
 use dqos_core::{AdmissionController, AdmissionError, DeadlineMode, Stamper};
 use dqos_sim_core::{Bandwidth, SimDuration, SimTime};
 use dqos_stats::LogHistogram;
-use dqos_topology::{ClosParams, FoldedClos, HostId, LinkId, Route};
+use dqos_topology::{ClosParams, FoldedClos, HostId, LinkId};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
@@ -225,10 +225,24 @@ impl fmt::Display for RecoverError {
 impl std::error::Error for RecoverError {}
 
 struct FlowEntry {
+    /// The durable record; when `rec.reserved`, its bandwidth is held on
+    /// every link of path `rec.choice` from `rec.src` to `rec.dst`.
     rec: FlowRec,
-    /// The admitted route; present exactly when bandwidth is reserved.
-    route: Option<Route>,
     stamper: Stamper,
+}
+
+/// Return a reserved flow's bandwidth to the ledger (a no-op for an
+/// unreserved one).
+fn release_reserved(
+    ac: &mut AdmissionController,
+    net: &FoldedClos,
+    rec: &FlowRec,
+) -> Result<(), AdmissionError> {
+    if !rec.reserved {
+        return Ok(());
+    }
+    let bw = Bandwidth::bytes_per_sec(rec.bw);
+    ac.release_choice(net, HostId(rec.src), HostId(rec.dst), rec.choice, bw)
 }
 
 struct Session {
@@ -321,21 +335,27 @@ impl Daemon {
     }
 
     fn rebuild_entry(&self, rec: FlowRec) -> Result<FlowEntry, RecoverError> {
-        let route = if rec.reserved {
-            if rec.src >= self.net.n_hosts() || rec.dst >= self.net.n_hosts() {
+        if rec.reserved {
+            let n = self.net.n_hosts();
+            if rec.src >= n || rec.dst >= n {
                 return Err(RecoverError::Divergence {
                     flow: rec.flow,
                     detail: "host out of range for topology",
                 });
             }
-            Some(self.net.route(HostId(rec.src), HostId(rec.dst), rec.choice))
-        } else {
-            None
-        };
+            if rec.src == rec.dst
+                || rec.choice >= self.net.route_choices(HostId(rec.src), HostId(rec.dst))
+            {
+                return Err(RecoverError::Divergence {
+                    flow: rec.flow,
+                    detail: "path choice out of range for topology",
+                });
+            }
+        }
         // Stamper state is soft: it restarts at virtual-clock zero, which
         // only ever makes the next deadline earlier, never later.
         let stamper = Stamper::new(DeadlineMode::AvgBandwidth(Bandwidth::bytes_per_sec(rec.bw)));
-        Ok(FlowEntry { rec, route, stamper })
+        Ok(FlowEntry { rec, stamper })
     }
 
     fn apply_record(&mut self, rec: Record) -> Result<(), RecoverError> {
@@ -346,21 +366,26 @@ impl Daemon {
                     return Err(RecoverError::Divergence { flow, detail: "host out of range" });
                 }
                 if reserved {
-                    let adm = self
+                    let replayed = self
                         .ac
-                        .admit(&self.net, HostId(src), HostId(dst), Bandwidth::bytes_per_sec(bw))
+                        .admit_choice(
+                            &self.net,
+                            HostId(src),
+                            HostId(dst),
+                            Bandwidth::bytes_per_sec(bw),
+                        )
                         .map_err(|_| RecoverError::Divergence {
                             flow,
                             detail: "recorded admission no longer fits",
                         })?;
-                    if adm.choice != choice {
+                    if replayed != choice {
                         return Err(RecoverError::Divergence {
                             flow,
                             detail: "replayed path choice differs from the record",
                         });
                     }
                 } else {
-                    let _ = self.ac.assign_unregulated_path(&self.net, HostId(src), HostId(dst));
+                    let _ = self.ac.assign_unregulated_choice(&self.net, HostId(src), HostId(dst));
                 }
                 let fr = FlowRec { flow, class, src, dst, bw, choice, reserved };
                 let entry = self.rebuild_entry(fr)?;
@@ -375,14 +400,12 @@ impl Daemon {
                     flow,
                     detail: "teardown of unknown flow",
                 })?;
-                if let Some(route) = &entry.route {
-                    self.ac
-                        .release(&self.net, route, Bandwidth::bytes_per_sec(entry.rec.bw))
-                        .map_err(|_| RecoverError::Divergence {
-                            flow,
-                            detail: "recorded release underflows the ledger",
-                        })?;
-                }
+                release_reserved(&mut self.ac, &self.net, &entry.rec).map_err(|_| {
+                    RecoverError::Divergence {
+                        flow,
+                        detail: "recorded release underflows the ledger",
+                    }
+                })?;
                 Reply::Teardown
             }
             Record::LinkDown { link, .. } => {
@@ -678,10 +701,10 @@ impl Daemon {
                     return (cost, Err(ErrCode::Malformed));
                 }
                 let bw = Bandwidth::bytes_per_sec(*bw_bytes_per_sec);
-                let (choice, reserved, route) = match class {
+                let (choice, reserved) = match class {
                     ReqClass::Guaranteed => {
-                        match self.ac.admit(&self.net, HostId(*src), HostId(*dst), bw) {
-                            Ok(adm) => (adm.choice, true, Some(adm.route)),
+                        match self.ac.admit_choice(&self.net, HostId(*src), HostId(*dst), bw) {
+                            Ok(choice) => (choice, true),
                             Err(AdmissionError::NoUsablePath) => {
                                 return (cost, Err(ErrCode::NoUsablePath))
                             }
@@ -689,12 +712,12 @@ impl Daemon {
                         }
                     }
                     ReqClass::BestEffort => {
-                        let _ = self.ac.assign_unregulated_path(
+                        let _ = self.ac.assign_unregulated_choice(
                             &self.net,
                             HostId(*src),
                             HostId(*dst),
                         );
-                        (0, false, None)
+                        (0, false)
                     }
                 };
                 let flow = self.next_flow;
@@ -710,7 +733,7 @@ impl Daemon {
                 };
                 let stamper =
                     Stamper::new(DeadlineMode::AvgBandwidth(Bandwidth::bytes_per_sec(rec.bw)));
-                self.flows.insert(flow, FlowEntry { rec, route, stamper });
+                self.flows.insert(flow, FlowEntry { rec, stamper });
                 let reply = Reply::Setup { flow, choice, reserved };
                 self.commit(
                     Record::Setup {
@@ -733,13 +756,10 @@ impl Daemon {
                 let Some(entry) = self.flows.get(flow) else {
                     return (cost, Err(ErrCode::UnknownFlow));
                 };
-                if let Some(route) = entry.route.clone() {
-                    let bw = Bandwidth::bytes_per_sec(entry.rec.bw);
-                    if self.ac.release(&self.net, &route, bw).is_err() {
-                        // The ledger refused a release it granted: state
-                        // corruption. Surface loudly, mutate nothing.
-                        return (cost, Err(ErrCode::Internal));
-                    }
+                if release_reserved(&mut self.ac, &self.net, &entry.rec).is_err() {
+                    // The ledger refused a release it granted: state
+                    // corruption. Surface loudly, mutate nothing.
+                    return (cost, Err(ErrCode::Internal));
                 }
                 self.flows.remove(flow);
                 let reply = Reply::Teardown;
@@ -992,6 +1012,34 @@ mod tests {
         let recovered = Daemon::recover(cfg, d.store()).unwrap();
         assert_eq!(recovered.control_digest(), d.control_digest());
         assert_eq!(recovered.n_flows(), d.n_flows());
+    }
+
+    #[test]
+    fn recover_rejects_a_reserved_flow_on_a_path_the_topology_lacks() {
+        // A reserved flow is released by its path choice, so recovery
+        // checks the choice up front: spine 8 does not exist on the
+        // paper fabric's eight spines, and a self-pair has no path.
+        for (src, dst, choice) in [(0, 100, 8), (3, 3, 0)] {
+            let flow = FlowRec {
+                flow: 1,
+                class: ReqClass::Guaranteed,
+                src,
+                dst,
+                bw: 100,
+                choice,
+                reserved: true,
+            };
+            let persist = Persist { next_flow: 2, flows: vec![flow], ..Persist::default() };
+            let store = Store { snapshot: encode_snapshot(&persist), journal: Vec::new() };
+            let err = Daemon::recover(DaemonConfig::default(), &store).err();
+            assert_eq!(
+                err,
+                Some(RecoverError::Divergence {
+                    flow: 1,
+                    detail: "path choice out of range for topology"
+                })
+            );
+        }
     }
 
     #[test]

@@ -34,6 +34,11 @@
 //!   pairs at construction, in src-major order, consuming the admission
 //!   controller's per-leaf round-robin exactly as the lazy version did —
 //!   but canonically, so the assignment never depends on traffic order.
+//! * **Records are route-free**: a flow stores its path choice (spine
+//!   index) and the interned [`PortPath`] its packets carry; the links
+//!   it reserves, crosses or releases are read from the topology's link
+//!   tables by that choice. No [`dqos_topology::Route`] is built while
+//!   the table is constructed or maintained.
 //! * Hot-path reads (stamping, paths, ids) take a per-host mutex or a
 //!   read lock; topology-wide mutation ([`FlowTable::fail_links`] /
 //!   [`FlowTable::restore_links`]) happens only at epoch fences when the
@@ -44,7 +49,7 @@ use dqos_core::{
     NUM_CLASSES,
 };
 use dqos_sim_core::{Bandwidth, SimDuration, SimTime};
-use dqos_topology::{FoldedClos, HostId, LinkId, PortPath, Route};
+use dqos_topology::{FoldedClos, HostId, LinkId, PortPath};
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Lock a mutex, recovering the guard from poisoning. A poisoned lock
@@ -72,11 +77,12 @@ pub struct VideoFlow {
     pub id: FlowId,
     /// Destination host.
     pub dst: HostId,
-    /// The admitted (or fallback) route, with switch names — kept for
-    /// topology validation and the admission ledger.
-    pub route: Route,
-    /// The same route interned to its output ports, stamped into every
-    /// packet of the flow (`Copy`, no per-packet allocation).
+    /// Path choice of the admitted (or fallback) route: the spine index,
+    /// or 0 for an intra-leaf pair. `FoldedClos::route(src, dst, choice)`
+    /// is the route; the admission ledger reads its links by choice.
+    pub choice: u16,
+    /// The route interned to its output ports, stamped into every packet
+    /// of the flow (`Copy`, no per-packet allocation).
     pub path: PortPath,
     /// Frame-spread stamper.
     pub stamper: Stamper,
@@ -149,11 +155,11 @@ struct DynState {
     fallbacks: u32,
 }
 
-/// All-pairs aggregated routes, `src * n + dst` indexed (`None` on the
-/// diagonal — hosts never send to themselves).
+/// All-pairs aggregated routes as `(choice, path)`, `src * n + dst`
+/// indexed (`None` on the diagonal — hosts never send to themselves).
 #[derive(Clone)]
 struct AggTable {
-    pairs: Vec<Option<(Route, PortPath)>>,
+    pairs: Vec<Option<(u16, PortPath)>>,
 }
 
 /// The fleet's flow table. Internally synchronised: stamping takes the
@@ -233,19 +239,19 @@ impl FlowTable {
             let src = HostId(h as u32);
             let mut video = Vec::with_capacity(dsts.len());
             for &dst in dsts {
-                let (route, reserved) = match admission.admit(net, src, dst, video_stream_bw) {
-                    Ok(adm) => (adm.route, true),
-                    Err(_) => {
-                        fallbacks += 1;
-                        (admission.assign_unregulated_path(net, src, dst), false)
-                    }
-                };
-                let path = route.port_path();
+                let (choice, reserved) =
+                    match admission.admit_choice(net, src, dst, video_stream_bw) {
+                        Ok(choice) => (choice, true),
+                        Err(_) => {
+                            fallbacks += 1;
+                            (admission.assign_unregulated_choice(net, src, dst), false)
+                        }
+                    };
                 video.push(VideoFlow {
                     id: FlowId(u32::MAX), // assigned below, (dst, src, stream)-sorted
                     dst,
-                    route,
-                    path,
+                    choice,
+                    path: net.port_path(src, dst, choice),
                     stamper: Stamper::new(video_mode),
                     reserved,
                 });
@@ -259,26 +265,33 @@ impl FlowTable {
                 ],
             });
         }
-        // Second pass: video ids sorted by (dst, src, stream) so every
-        // destination's flows are one contiguous id range.
-        let mut triples: Vec<(u32, u32, u32)> = Vec::new();
-        for (h, hf) in hosts.iter().enumerate() {
-            for (s, v) in hf.video.iter().enumerate() {
-                triples.push((v.dst.0, h as u32, s as u32));
-            }
-        }
-        triples.sort_unstable();
+        // Second pass: video ids in (dst, src, stream) order, so every
+        // destination's flows are one contiguous id range. A counting
+        // sort by dst suffices: the walk below is already src-major and
+        // stream-minor, so within a destination ids come out in
+        // (src, stream) order.
         let mut video_band = vec![(0u32, 0u32); n_hosts as usize];
-        for (id, &(dst, src, stream)) in triples.iter().enumerate() {
-            let id = id as u32;
-            hosts[src as usize].video[stream as usize].id = FlowId(id);
-            let band = &mut video_band[dst as usize];
-            if band.1 == 0 {
-                band.0 = id;
+        for hf in &hosts {
+            for v in &hf.video {
+                video_band[v.dst.idx()].1 += 1;
             }
-            band.1 += 1;
         }
-        let video_total = triples.len() as u32;
+        let mut next_id = Vec::with_capacity(n_hosts as usize);
+        let mut video_total = 0u32;
+        for band in &mut video_band {
+            if band.1 > 0 {
+                band.0 = video_total;
+            }
+            next_id.push(video_total);
+            video_total += band.1;
+        }
+        for hf in &mut hosts {
+            for v in &mut hf.video {
+                let next = &mut next_id[v.dst.idx()];
+                v.id = FlowId(*next);
+                *next += 1;
+            }
+        }
         // Eager all-pairs aggregated routes, src-major: exactly the
         // round-robin consumption order of one host priming its own
         // routes in dst order, but canonical.
@@ -288,10 +301,9 @@ impl FlowTable {
                 if src == dst {
                     pairs.push(None);
                 } else {
-                    let route =
-                        admission.assign_unregulated_path(net, HostId(src), HostId(dst));
-                    let path = route.port_path();
-                    pairs.push(Some((route, path)));
+                    let (src, dst) = (HostId(src), HostId(dst));
+                    let choice = admission.assign_unregulated_choice(net, src, dst);
+                    pairs.push(Some((choice, net.port_path(src, dst, choice))));
                 }
             }
         }
@@ -320,42 +332,33 @@ impl FlowTable {
     /// Only called at epoch fences (all partitions quiescent).
     pub fn fail_links(&self, net: &FoldedClos, links: &[LinkId]) -> RerouteStats {
         let dyn_state = &mut *locked(&self.dyn_state);
+        let admission = &mut dyn_state.admission;
         for &l in links {
-            dyn_state.admission.fail_link(l);
+            admission.fail_link(l);
         }
         let mut stats = RerouteStats::default();
         for (h, host) in self.hosts.iter().enumerate() {
             let src = HostId(h as u32);
             let host = &mut *locked(host);
             for flow in &mut host.video {
-                let crosses_down = net
-                    .links_on_route(&flow.route)
-                    .iter()
-                    .any(|l| !dyn_state.admission.link_is_up(*l));
-                if !crosses_down {
+                if admission.path_is_up(net, src, flow.dst, flow.choice) {
                     continue;
                 }
                 if flow.reserved {
-                    // The ledger held this exact reservation; failure to
-                    // release it is a simulator bug, not a user error.
-                    dyn_state
-                        .admission
-                        .release(net, &flow.route, self.video_bw)
+                    admission
+                        .release_choice(net, src, flow.dst, flow.choice, self.video_bw)
                         // tidy: allow(no-unwrap) -- the ledger held this
                         // exact reservation; release cannot fail here.
                         .expect("revoking an admitted route");
                 }
-                match dyn_state.admission.admit(net, src, flow.dst, self.video_bw) {
-                    Ok(adm) => {
-                        flow.route = adm.route;
-                        flow.path = flow.route.port_path();
+                match admission.admit_choice(net, src, flow.dst, self.video_bw) {
+                    Ok(choice) => {
+                        flow.choice = choice;
                         flow.reserved = true;
                         stats.rerouted += 1;
                     }
                     Err(_) => {
-                        flow.route =
-                            dyn_state.admission.assign_unregulated_path(net, src, flow.dst);
-                        flow.path = flow.route.port_path();
+                        flow.choice = admission.assign_unregulated_choice(net, src, flow.dst);
                         if flow.reserved {
                             stats.rejected += 1;
                             dyn_state.fallbacks += 1;
@@ -363,20 +366,19 @@ impl FlowTable {
                         flow.reserved = false;
                     }
                 }
+                flow.path = net.port_path(src, flow.dst, flow.choice);
             }
         }
         let agg = &mut *write_locked(&self.agg);
         for (i, pair) in agg.pairs.iter_mut().enumerate() {
-            let Some((route, path)) = pair else { continue };
-            let crosses_down =
-                net.links_on_route(route).iter().any(|l| !dyn_state.admission.link_is_up(*l));
-            if !crosses_down {
-                continue;
-            }
+            let Some((choice, path)) = pair else { continue };
             let src = HostId((i as u32) / self.n_hosts);
             let dst = HostId((i as u32) % self.n_hosts);
-            *route = dyn_state.admission.assign_unregulated_path(net, src, dst);
-            *path = route.port_path();
+            if admission.path_is_up(net, src, dst, *choice) {
+                continue;
+            }
+            *choice = admission.assign_unregulated_choice(net, src, dst);
+            *path = net.port_path(src, dst, *choice);
             stats.invalidated += 1;
         }
         stats
@@ -402,9 +404,11 @@ impl FlowTable {
                 if flow.reserved {
                     continue;
                 }
-                if let Ok(adm) = dyn_state.admission.admit(net, src, flow.dst, self.video_bw) {
-                    flow.route = adm.route;
-                    flow.path = flow.route.port_path();
+                if let Ok(choice) =
+                    dyn_state.admission.admit_choice(net, src, flow.dst, self.video_bw)
+                {
+                    flow.choice = choice;
+                    flow.path = net.port_path(src, flow.dst, choice);
                     flow.reserved = true;
                     stats.readmitted += 1;
                 }
@@ -463,12 +467,12 @@ impl FlowTable {
         AdmissionDiag { admitted_bw, outstanding, fallbacks }
     }
 
-    /// The fixed route for an aggregated-class packet from `src` to
-    /// `dst` (assigned round-robin over spines at construction, then
-    /// fixed until a link failure forces it off a dead spine). This is
-    /// the validation view; the hot path uses
+    /// The path choice of the fixed route for an aggregated-class packet
+    /// from `src` to `dst` (assigned round-robin over spines at
+    /// construction, then fixed until a link failure forces it off a
+    /// dead spine). This is the validation view; the hot path uses
     /// [`FlowTable::aggregated_path`].
-    pub fn aggregated_route(&self, src: HostId, dst: HostId) -> Route {
+    pub fn aggregated_choice(&self, src: HostId, dst: HostId) -> u16 {
         let agg = read_locked(&self.agg);
         agg.pairs[(src.0 * self.n_hosts + dst.0) as usize]
             .as_ref()
@@ -476,7 +480,6 @@ impl FlowTable {
             // None, and hosts never ask for a route to themselves.
             .expect("no self-routes")
             .0
-            .clone()
     }
 
     /// The interned output-port path for an aggregated-class (src, dst)
@@ -594,7 +597,7 @@ mod tests {
         for h in 0..16u32 {
             ft.with_host(HostId(h), |hf| {
                 for v in &hf.video {
-                    net.check_route(&v.route).unwrap();
+                    net.check_route(&net.route(HostId(h), v.dst, v.choice)).unwrap();
                 }
             });
         }
@@ -631,12 +634,109 @@ mod tests {
         }
     }
 
+    /// Build a table over `params` with `streams` video streams per host
+    /// at `stream_bw`, destinations spread so most (src, dst) pairs carry
+    /// several streams.
+    fn spread_table(
+        params: ClosParams,
+        streams: u32,
+        stream_bw: Bandwidth,
+    ) -> (FoldedClos, FlowTable) {
+        let net = FoldedClos::build(params);
+        let n = net.n_hosts();
+        let dsts: Vec<Vec<HostId>> = (0..n)
+            .map(|h| (0..streams).map(|s| HostId((h + 1 + (s * 67) % (n - 1)) % n)).collect())
+            .collect();
+        let ft = FlowTable::new(
+            &net,
+            Architecture::Advanced2Vc,
+            Bandwidth::gbps(8),
+            &dsts,
+            stream_bw,
+            DeadlineMode::FrameSpread { target: SimDuration::from_ms(10) },
+            None,
+            (2.0 / 3.0, 1.0 / 3.0),
+        );
+        (net, ft)
+    }
+
+    /// The route-free records against the plain definitions they
+    /// replace: ids are ranks in a (dst, src, stream) sort, every stored
+    /// path is the materialised route's, the choices are what the
+    /// `Route`-returning admission API picks in the same order, and the
+    /// ledger holds exactly the reserved flows.
+    #[test]
+    fn route_free_records_pin_ids_paths_and_choices() {
+        let cases = [
+            // The paper fabric at Table-1 video load: everything fits.
+            (ClosParams::paper(), 625, Bandwidth::bytes_per_sec(400_000)),
+            // A small fabric overloaded 4x: a mix of reserved flows and
+            // unregulated fallbacks.
+            (ClosParams::scaled(16), 40, Bandwidth::bytes_per_sec(100_000_000)),
+        ];
+        for (params, streams, bw) in cases {
+            let (net, ft) = spread_table(params, streams, bw);
+            let n = net.n_hosts();
+            let mut oracle = AdmissionController::new(&net, Bandwidth::gbps(8), 1.0);
+            let mut rows = Vec::new();
+            let mut reserved_links = 0u64;
+            let mut unreserved = 0u32;
+            for src in 0..n {
+                ft.with_host(HostId(src), |hf| {
+                    for (s, v) in hf.video.iter().enumerate() {
+                        rows.push((v.dst.0, src, s as u32, v.id.0));
+                        let route = net.route(HostId(src), v.dst, v.choice);
+                        assert_eq!(v.path, route.port_path(), "stored path is the route's");
+                        let expect = match oracle.admit(&net, HostId(src), v.dst, bw) {
+                            Ok(adm) => (adm.route, true),
+                            Err(_) => {
+                                let c = oracle.assign_unregulated_choice(&net, HostId(src), v.dst);
+                                (net.route(HostId(src), v.dst, c), false)
+                            }
+                        };
+                        assert_eq!((route.clone(), v.reserved), expect, "{src} stream {s}");
+                        if v.reserved {
+                            reserved_links += net.links_on_route(&route).len() as u64;
+                        } else {
+                            unreserved += 1;
+                        }
+                    }
+                });
+            }
+            rows.sort_unstable();
+            for (rank, row) in rows.iter().enumerate() {
+                assert_eq!(row.3, rank as u32, "id is the (dst, src, stream) rank");
+            }
+            assert_eq!(ft.video_total(), rows.len() as u32);
+            ft.with_admission(|a| {
+                assert_eq!(a.total_reserved(), reserved_links * bw.as_bytes_per_sec());
+            });
+            assert_eq!(ft.admission_fallbacks(), unreserved);
+            assert_eq!(
+                unreserved == 0,
+                params == ClosParams::paper(),
+                "only the overload falls back"
+            );
+            for src in 0..n {
+                for dst in 0..n {
+                    if src == dst {
+                        continue;
+                    }
+                    let (src, dst) = (HostId(src), HostId(dst));
+                    let route = net.route(src, dst, ft.aggregated_choice(src, dst));
+                    assert_eq!(ft.aggregated_path(src, dst), route.port_path());
+                }
+            }
+        }
+    }
+
     #[test]
     fn aggregated_routes_are_fixed() {
         let (net, ft) = table(0);
-        let a = ft.aggregated_route(HostId(0), HostId(9));
-        let b = ft.aggregated_route(HostId(0), HostId(9));
+        let a = ft.aggregated_choice(HostId(0), HostId(9));
+        let b = ft.aggregated_choice(HostId(0), HostId(9));
         assert_eq!(a, b, "route fixed after construction");
+        let a = net.route(HostId(0), HostId(9), a);
         net.check_route(&a).unwrap();
         // The interned path mirrors the validated route.
         let p = ft.aggregated_path(HostId(0), HostId(9));
@@ -708,13 +808,15 @@ mod tests {
             ft.with_host(HostId(h), |hf| {
                 for flow in &hf.video {
                     assert!(flow.reserved);
-                    for l in net.links_on_route(&flow.route) {
+                    let route = net.route(HostId(h), flow.dst, flow.choice);
+                    for l in net.links_on_route(&route) {
                         assert!(
                             ft.with_admission(|a| a.link_is_up(l)),
                             "reserved route on a dead link"
                         );
                     }
-                    net.check_route(&flow.route).unwrap();
+                    net.check_route(&route).unwrap();
+                    assert_eq!(flow.path, route.port_path());
                 }
             });
         }
@@ -765,7 +867,9 @@ mod tests {
         for h in 0..16u32 {
             ft.with_host(HostId(h), |hf| {
                 for flow in &hf.video {
-                    net.check_route(&flow.route).unwrap();
+                    let route = net.route(HostId(h), flow.dst, flow.choice);
+                    net.check_route(&route).unwrap();
+                    assert_eq!(flow.path, route.port_path());
                 }
             });
         }
@@ -780,23 +884,26 @@ mod tests {
         let (net, ft) = table(0);
         // Kill whatever spine the (0, 9) route uses; every pair crossing
         // that spine must be re-assigned onto a survivor.
-        let before = ft.aggregated_route(HostId(0), HostId(9));
-        let spine = before.hop(1).unwrap().switch;
+        let before = ft.aggregated_choice(HostId(0), HostId(9));
+        let spine = net.spine(before);
         let stats = ft.fail_links(&net, &net.switch_links(spine));
         assert_eq!(stats.rerouted, 0, "no video flows to touch");
         assert_eq!(stats.rejected, 0);
         assert!(stats.invalidated > 0, "the (0, 9) route crossed the dead spine");
-        let after = ft.aggregated_route(HostId(0), HostId(9));
+        let after = ft.aggregated_choice(HostId(0), HostId(9));
         assert_ne!(before, after, "route through the dead spine was moved");
-        assert_ne!(after.hop(1).unwrap().switch, spine);
+        assert_eq!(
+            ft.aggregated_path(HostId(0), HostId(9)),
+            net.port_path(HostId(0), HostId(9), after)
+        );
         // Every pair now avoids the dead spine.
         for src in 0..16u32 {
             for dst in 0..16u32 {
                 if src == dst {
                     continue;
                 }
-                let r = ft.aggregated_route(HostId(src), HostId(dst));
-                for l in net.links_on_route(&r) {
+                let c = ft.aggregated_choice(HostId(src), HostId(dst));
+                for l in net.links_on_route(&net.route(HostId(src), HostId(dst), c)) {
                     assert!(ft.with_admission(|a| a.link_is_up(l)));
                 }
             }

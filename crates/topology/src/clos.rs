@@ -16,7 +16,7 @@
 //! spines), exactly the folded perfect-shuffle butterfly of §4.1.
 
 use crate::ids::{HostId, LinkId, NodeId, Port, SwitchId};
-use crate::route::{Route, RouteHop};
+use crate::route::{PortPath, Route, RouteHop};
 
 /// Parameters of a two-stage folded Clos.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,6 +126,27 @@ pub struct FoldedClos {
     host_down: Vec<LinkId>,
     /// `switch_out[sw][port]`: the directed link leaving that port.
     switch_out: Vec<Vec<Option<LinkId>>>,
+    /// Leaf → spine uplinks, `[leaf][choice]` (`leaf * spines + choice`).
+    spine_up: Vec<LinkId>,
+    /// Spine → leaf downlinks, `[choice][leaf]` (`choice * leaves + leaf`).
+    spine_down: Vec<LinkId>,
+}
+
+/// The directed links of one candidate route, in traversal order, held
+/// inline: two for an intra-leaf pair, four through a spine (see
+/// [`FoldedClos::links_for_choice`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PathLinks {
+    links: [LinkId; 4],
+    len: u8,
+}
+
+impl std::ops::Deref for PathLinks {
+    type Target = [LinkId];
+
+    fn deref(&self) -> &[LinkId] {
+        &self.links[..self.len as usize]
+    }
 }
 
 impl FoldedClos {
@@ -141,6 +162,8 @@ impl FoldedClos {
         let mut links = Vec::with_capacity((2 * n_hosts + 2 * l * s) as usize);
         let mut host_up = vec![LinkId(u32::MAX); n_hosts as usize];
         let mut host_down = vec![LinkId(u32::MAX); n_hosts as usize];
+        let mut spine_up = vec![LinkId(u32::MAX); (l * s) as usize];
+        let mut spine_down = vec![LinkId(u32::MAX); (l * s) as usize];
         let mut switch_out: Vec<Vec<Option<LinkId>>> = (0..n_switches)
             .map(|sw| {
                 let ports = if sw < l { d + s } else { l };
@@ -208,10 +231,12 @@ impl FoldedClos {
                 );
                 switch_out[leaf.idx()][leaf_port.idx()] = Some(up);
                 switch_out[spine.idx()][spine_port.idx()] = Some(down);
+                spine_up[(i * s + j) as usize] = up;
+                spine_down[(j * l + i) as usize] = down;
             }
         }
 
-        FoldedClos { params, links, host_up, host_down, switch_out }
+        FoldedClos { params, links, host_up, host_down, switch_out, spine_up, spine_down }
     }
 
     /// The parameters this network was built from.
@@ -268,6 +293,20 @@ impl FoldedClos {
         self.host_down[host.idx()]
     }
 
+    /// The uplink from leaf `leaf` to spine `choice`.
+    #[inline]
+    pub fn spine_uplink(&self, leaf: SwitchId, choice: u16) -> LinkId {
+        debug_assert!(choice < self.params.spines);
+        self.spine_up[leaf.idx() * self.params.spines as usize + choice as usize]
+    }
+
+    /// The downlink from spine `choice` to leaf `leaf`.
+    #[inline]
+    pub fn spine_downlink(&self, choice: u16, leaf: SwitchId) -> LinkId {
+        debug_assert!(leaf.0 < self.params.leaves as u32);
+        self.spine_down[choice as usize * self.params.leaves as usize + leaf.idx()]
+    }
+
     /// Where the link leaving `(sw, port)` lands, if that port is wired.
     pub fn switch_out_link(&self, sw: SwitchId, port: Port) -> Option<LinkEnd> {
         let id = (*self.switch_out.get(sw.idx())?.get(port.idx())?)?;
@@ -292,18 +331,8 @@ impl FoldedClos {
     pub fn leaf_spine_links(&self, leaf: u16, spine: u16) -> [LinkId; 2] {
         assert!(leaf < self.params.leaves, "leaf index out of range");
         assert!(spine < self.params.spines, "spine index out of range");
-        let d = self.params.hosts_per_leaf as u32;
-        let leaf_sw = SwitchId(leaf as u32);
-        let up_port = Port((d + spine as u32) as u8);
-        // tidy: allow(no-unwrap) -- the constructor wires every leaf uplink
-        // port; the index asserts above keep us inside the built fabric.
-        let up = self.switch_out[leaf_sw.idx()][up_port.idx()].expect("leaf uplink wired");
-        let spine_sw = self.spine(spine);
-        let down_port = Port(leaf as u8);
-        // tidy: allow(no-unwrap) -- likewise, every spine downlink port is
-        // wired at construction for in-range leaf indices.
-        let down = self.switch_out[spine_sw.idx()][down_port.idx()].expect("spine downlink wired");
-        [up, down]
+        let leaf = SwitchId(leaf as u32);
+        [self.spine_uplink(leaf, spine), self.spine_downlink(spine, leaf)]
     }
 
     /// How many distinct fixed routes exist from `src` to `dst`
@@ -329,11 +358,7 @@ impl FoldedClos {
         if src_leaf == dst_leaf {
             return Route::new(src, dst, vec![RouteHop { switch: src_leaf, out_port: dst_port_at_leaf }]);
         }
-        assert!(
-            choice < self.params.spines,
-            "spine choice {choice} out of range (< {})",
-            self.params.spines
-        );
+        self.check_choice(choice);
         let up_port = Port((d + choice as u32) as u8);
         let spine = self.spine(choice);
         let down_port = Port(dst_leaf.0 as u8);
@@ -367,40 +392,45 @@ impl FoldedClos {
         out
     }
 
-    /// The links of candidate route `choice` from `src` to `dst`, written
-    /// into `out` (cleared first) — identical to
-    /// `links_on_route(&route(src, dst, choice))` but without building the
-    /// intermediate [`Route`]. The admission controller scores every
-    /// candidate spine per admitted flow; at thousands of flows the two
-    /// heap allocations per candidate dominated network construction, so
-    /// the scan works off a caller-owned scratch buffer and only the
-    /// winning candidate is materialised as a `Route`.
-    pub fn links_for_choice(&self, src: HostId, dst: HostId, choice: u16, out: &mut Vec<LinkId>) {
+    /// The links of candidate route `choice` from `src` to `dst` —
+    /// identical to `links_on_route(&route(src, dst, choice))` but read
+    /// from the link tables without building the intermediate [`Route`].
+    pub fn links_for_choice(&self, src: HostId, dst: HostId, choice: u16) -> PathLinks {
         assert_ne!(src, dst, "no route from a host to itself");
-        out.clear();
-        out.push(self.host_up[src.idx()]);
-        let d = self.params.hosts_per_leaf as u32;
+        let inject = self.host_up[src.idx()];
+        let deliver = self.host_down[dst.idx()];
         let src_leaf = self.leaf_of(src);
         let dst_leaf = self.leaf_of(dst);
-        let dst_port_at_leaf = Port((dst.0 % d) as u8);
-        let link_of = |sw: SwitchId, p: Port| {
-            // tidy: allow(no-unwrap) -- same wiring table the route
-            // builder uses; every hop port below is wired at construction.
-            self.switch_out_link(sw, p).expect("route uses a wired port").link
-        };
         if src_leaf == dst_leaf {
-            out.push(link_of(src_leaf, dst_port_at_leaf));
-            return;
+            return PathLinks { links: [inject, deliver, deliver, deliver], len: 2 };
         }
+        self.check_choice(choice);
+        let up = self.spine_uplink(src_leaf, choice);
+        let down = self.spine_downlink(choice, dst_leaf);
+        PathLinks { links: [inject, up, down, deliver], len: 4 }
+    }
+
+    /// The output ports of candidate route `choice` from `src` to `dst` —
+    /// identical to `route(src, dst, choice).port_path()` without the
+    /// intermediate [`Route`].
+    pub fn port_path(&self, src: HostId, dst: HostId, choice: u16) -> PortPath {
+        assert_ne!(src, dst, "no route from a host to itself");
+        let d = self.params.hosts_per_leaf as u32;
+        let dst_leaf = self.leaf_of(dst);
+        let dst_port_at_leaf = Port((dst.0 % d) as u8);
+        if self.leaf_of(src) == dst_leaf {
+            return PortPath::new(&[dst_port_at_leaf]);
+        }
+        self.check_choice(choice);
+        PortPath::new(&[Port((d + choice as u32) as u8), Port(dst_leaf.0 as u8), dst_port_at_leaf])
+    }
+
+    fn check_choice(&self, choice: u16) {
         assert!(
             choice < self.params.spines,
             "spine choice {choice} out of range (< {})",
             self.params.spines
         );
-        let spine = self.spine(choice);
-        out.push(link_of(src_leaf, Port((d + choice as u32) as u8)));
-        out.push(link_of(spine, Port(dst_leaf.0 as u8)));
-        out.push(link_of(dst_leaf, dst_port_at_leaf));
     }
 
     /// Validate that `route` is structurally sound: starts at the source's
@@ -520,6 +550,28 @@ mod tests {
         assert_eq!(sorted.len(), links.len());
         // The last link is the destination's delivery link.
         assert_eq!(*links.last().unwrap(), net.host_delivery_link(HostId(127)));
+    }
+
+    #[test]
+    fn link_tables_match_routes_for_every_choice() {
+        // The flat spine tables and the table-driven path views must
+        // agree with the wiring walk of a materialised Route.
+        for params in [ClosParams::paper(), ClosParams::scaled(16), ClosParams::scaled(8)] {
+            let net = FoldedClos::build(params);
+            for src in 0..net.n_hosts() {
+                for dst in 0..net.n_hosts() {
+                    let (src, dst) = (HostId(src), HostId(dst));
+                    if src == dst {
+                        continue;
+                    }
+                    for c in 0..net.route_choices(src, dst) {
+                        let r = net.route(src, dst, c);
+                        assert_eq!(*net.links_for_choice(src, dst, c), net.links_on_route(&r)[..]);
+                        assert_eq!(net.port_path(src, dst, c), r.port_path());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,6 @@ pub mod clos;
 pub mod ids;
 pub mod route;
 
-pub use clos::{ClosParams, FoldedClos, LinkEnd};
+pub use clos::{ClosParams, FoldedClos, LinkEnd, PathLinks};
 pub use ids::{HostId, LinkId, NodeId, Port, SwitchId};
 pub use route::{PortPath, Route, RouteHop, MAX_ROUTE_HOPS};

@@ -13,6 +13,10 @@
 #   2. Full test suite — includes tests/determinism.rs, the serial-vs-
 #      parallel equivalence matrix (4 architectures x 3 seeds x 3 fault
 #      scenarios, report JSON byte-identical at every worker count).
+#      Then the benchmark package's tests (perfbench/, a workspace of its
+#      own, so the workspace run above never builds it): a change to an
+#      API the benchmark calls fails here rather than only when the
+#      benchmark is next run.
 #   3. event_kernel bench: refreshes BENCH_kernel.json (events/sec
 #      baseline, bucketed-vs-heap churn speedups), then the throughput
 #      regression gate — the fresh `fullsim/tiny_2ms/traditional` rate
@@ -67,6 +71,7 @@ fullsim_rate() {
 cargo run --release --offline -p dqos-tidy
 cargo build --release --offline
 cargo test -q --offline --workspace
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 # The committed fullsim row is the baseline; read it before the bench
 # rerun overwrites the file.
