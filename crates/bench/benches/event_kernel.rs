@@ -1,9 +1,8 @@
 //! **Micro-bench — simulation kernel.**
 //!
 //! Measures the discrete-event calendar (schedule+pop churn) against the
-//! reference binary heap, the cost of moving whole packets through the
-//! calendar versus arena handles, and the end-to-end event rate of a
-//! small full-network simulation — the number that bounds how much
+//! reference binary heap, and the end-to-end event rate of a small
+//! full-network simulation — the number that bounds how much
 //! simulated time a wall-clock second buys.
 //!
 //! Results are printed and recorded in `BENCH_kernel.json` at the repo
@@ -13,10 +12,9 @@
 
 use dqos_bench::harness::{measure, write_json_merged, Measurement};
 use dqos_bench::repo_root;
-use dqos_core::{Architecture, FlowId, MsgTag, Packet, PacketArena, TrafficClass};
+use dqos_core::Architecture;
 use dqos_netsim::{Network, SimConfig};
 use dqos_sim_core::{BinaryHeapQueue, EventQueue, SimDuration, SimRng, SimTime};
-use dqos_topology::{HostId, Port, PortPath};
 use std::hint::black_box;
 
 const CHURN: usize = 100_000;
@@ -55,58 +53,6 @@ fn churn_heap(pending: usize, jit: &[u64]) -> u64 {
         let e = q.pop().expect("non-empty");
         out ^= e.payload;
         q.schedule(e.time + SimDuration::from_ns(j), e.payload);
-    }
-    out
-}
-
-fn sample_packet(id: u64) -> Packet {
-    Packet {
-        id,
-        flow: FlowId(id as u32 & 0xFF),
-        class: TrafficClass::Multimedia,
-        src: HostId(0),
-        dst: HostId(1),
-        len: 2048,
-        deadline: SimTime::from_ns(id),
-        eligible: None,
-        route: PortPath::new(&[Port(1), Port(2), Port(0)]),
-        hop: 0,
-        injected_at: SimTime::ZERO,
-        msg: MsgTag { msg_id: id, part: 0, parts: 1, created_at: SimTime::ZERO },
-        corrupted: false,
-    }
-}
-
-/// Churn with whole packets as event payloads (the pre-arena design:
-/// ~100 B moved through the calendar per hop).
-fn churn_owned_packets(pending: usize, jit: &[u64]) -> u64 {
-    let mut q = EventQueue::with_capacity(pending * 2);
-    for i in 0..pending {
-        q.schedule(SimTime::from_ns(i as u64), sample_packet(i as u64));
-    }
-    let mut out = 0u64;
-    for &j in jit {
-        let e = q.pop().expect("non-empty");
-        out ^= e.payload.id;
-        q.schedule(e.time + SimDuration::from_ns(j), e.payload);
-    }
-    out
-}
-
-/// Churn with packets parked in the arena and 4-byte handles as event
-/// payloads (the shipping design).
-fn churn_arena_packets(pending: usize, jit: &[u64]) -> u64 {
-    let mut arena = PacketArena::with_capacity(pending * 2);
-    let mut q = EventQueue::with_capacity(pending * 2);
-    for i in 0..pending {
-        q.schedule(SimTime::from_ns(i as u64), arena.insert(sample_packet(i as u64)));
-    }
-    let mut out = 0u64;
-    for &j in jit {
-        let e = q.pop().expect("non-empty");
-        let pkt = arena.take(e.payload);
-        out ^= pkt.id;
-        q.schedule(e.time + SimDuration::from_ns(j), arena.insert(pkt));
     }
     out
 }
@@ -151,21 +97,6 @@ fn main() {
         );
         results.push(b);
         results.push(h);
-    }
-
-    for pending in [64usize, 4096] {
-        let owned = measure(&format!("packet_events/owned/{pending}"), CHURN as u64, 9, || {
-            black_box(churn_owned_packets(pending, &jit))
-        });
-        let arena = measure(&format!("packet_events/arena/{pending}"), CHURN as u64, 9, || {
-            black_box(churn_arena_packets(pending, &jit))
-        });
-        println!(
-            "  -> arena handles vs owned packets at {pending} pending: {:.2}x\n",
-            owned.ns_per_elem / arena.ns_per_elem
-        );
-        results.push(owned);
-        results.push(arena);
     }
 
     // The committed file's `full_sim/...` rows are the pre-optimisation

@@ -8,7 +8,7 @@
 //! Run: `cargo bench -p dqos-bench --bench queue_micro`
 
 use dqos_bench::harness::measure;
-use dqos_queues::{DeadlineSortedQueue, FifoQueue, HeapQueue, SchedQueue, TwoQueue};
+use dqos_queues::{FifoQueue, HeapQueue, SchedQueue, TwoQueue};
 use dqos_sim_core::{SimRng, SimTime};
 use std::hint::black_box;
 
@@ -75,9 +75,6 @@ fn main() {
         });
         measure(&format!("queue_churn/heap/{occupancy}"), n, 9, || {
             black_box(churn(&mut HeapQueue::new(), &stream, occupancy))
-        });
-        measure(&format!("queue_churn/sorted_insert/{occupancy}"), n, 9, || {
-            black_box(churn(&mut DeadlineSortedQueue::new(), &stream, occupancy))
         });
         println!();
     }

@@ -9,8 +9,6 @@
 //! * [`packet`] — the packet format: a deadline tag, routing information,
 //!   and *nothing else* that a switch needs (§3: "only the information in
 //!   the header of packets is used").
-//! * [`arena`] — pooled slab storage for packets in flight, so simulator
-//!   events carry `u32` handles instead of packets by value.
 //! * [`deadline`] — the Virtual-Clock deadline calculus of §3.1:
 //!   average-bandwidth stamping, the frame-spread method for multimedia,
 //!   full-link-bandwidth stamping for control traffic, and eligible-time
@@ -37,7 +35,6 @@ pub mod action;
 pub mod admission;
 pub mod model;
 pub mod arch;
-pub mod arena;
 pub mod class;
 pub mod clock;
 pub mod deadline;
@@ -47,7 +44,6 @@ pub mod packet;
 pub use action::NodeAction;
 pub use admission::{AdmissionController, AdmissionError, AdmissionState, AdmittedFlow};
 pub use arch::{Architecture, SwitchQueueKind};
-pub use arena::{PacketArena, PacketRef};
 pub use class::{TrafficClass, Vc, NUM_CLASSES, NUM_VCS};
 pub use clock::{ClockDomain, Ttd};
 pub use deadline::{segment_message, DeadlineMode, Stamper};

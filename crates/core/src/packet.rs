@@ -64,7 +64,9 @@ pub struct Packet {
     pub route: PortPath,
     /// Index of the next hop in `route`.
     pub hop: u8,
-    /// Global time of injection into the network (stats only).
+    /// Global time of injection into the network (stats only). Nothing
+    /// reads it, so the simulator's packet arena does not keep it and
+    /// packets it reassembles carry [`SimTime::ZERO`].
     pub injected_at: SimTime,
     /// Message/frame reassembly tag (stats only).
     pub msg: MsgTag,
@@ -78,12 +80,12 @@ pub struct Packet {
 /// The hot-path view of a packet: everything a switch or NIC scheduler
 /// reads, and nothing else.
 ///
-/// The full [`Packet`] (~100 bytes with its interned route and stats
-/// tags) lives in the owning partition's struct-of-arrays arena from
+/// The rest of the [`Packet`] (its interned route and stats tags)
+/// lives in the owning partition's struct-of-arrays arena from
 /// stamping to delivery; queues, crossbars, and transmitters move this
 /// 40-byte token instead. `slot` is the arena handle; the cold fields
-/// (route, message tag, flow, injection time) are fetched through it
-/// only at hop boundaries and at delivery.
+/// (route, message tag, flow) are fetched through it only at hop
+/// boundaries and at delivery.
 ///
 /// A real switch sees exactly this much of a packet — the deadline tag
 /// and the routing decision — so the token is also the honest model of

@@ -6,7 +6,9 @@
 //!
 //! * **Regulated VC**: two queues, one feeding the other. Packets wait in
 //!   an *eligible-time* queue (ascending eligible time); once eligible
-//!   they move to an injection queue sorted by ascending deadline.
+//!   they move to an injection queue sorted by ascending deadline
+//!   (kept as one deadline run per traffic class, merged at the head;
+//!   see `runs`).
 //!   Injection happens when the link is free and credits are available.
 //! * **Best-effort VC**: one deadline-sorted queue, injected "only when
 //!   the link is available, there are credits, and the regulated traffic
@@ -25,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod nic;
+mod runs;
 pub mod sink;
 
 pub use nic::{Nic, NicConfig, NicStats};

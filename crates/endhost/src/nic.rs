@@ -2,8 +2,9 @@
 
 // tidy: hot-path
 
+use crate::runs::ClassRuns;
 use dqos_core::{Architecture, NicEvent, NodeAction, NodeModel, PktTok, Vc, NUM_VCS};
-use dqos_queues::{DeadlineSortedQueue, FlatFifo, SchedQueue, SortedQueue};
+use dqos_queues::{FlatFifo, SchedQueue, SortedQueue};
 use dqos_sim_core::{Bandwidth, SimTime};
 use dqos_topology::Port;
 use dqos_trace::ModelNote;
@@ -31,44 +32,57 @@ pub struct NicStats {
     pub max_queued_packets: usize,
 }
 
-/// The host-side injection queue: deadline-sorted for the EDF
-/// architectures, FIFO (flat ring) for Traditional.
+/// The host-side injection queues of both VCs: per-class deadline runs
+/// for the EDF architectures ([`ClassRuns`]), FIFO (flat rings) for
+/// Traditional.
 #[derive(Debug)]
-enum InjectQueue {
-    Sorted(DeadlineSortedQueue<PktTok>),
-    Fifo(FlatFifo<PktTok>),
+enum Ready {
+    Edf(ClassRuns),
+    Fifo([FlatFifo<PktTok>; NUM_VCS]),
+    /// One stable deadline-sorted queue per VC: the order `Edf` must
+    /// reproduce exactly (see the differential test below).
+    #[cfg(test)]
+    Reference([dqos_queues::DeadlineSortedQueue<PktTok>; NUM_VCS]),
 }
 
-impl InjectQueue {
+impl Ready {
     fn new(arch: Architecture) -> Self {
         if arch.host_sorted_queues() {
-            InjectQueue::Sorted(DeadlineSortedQueue::new())
+            Ready::Edf(ClassRuns::new())
         } else {
-            InjectQueue::Fifo(FlatFifo::new())
+            Ready::Fifo([FlatFifo::new(), FlatFifo::new()])
         }
     }
     fn enqueue(&mut self, p: PktTok) {
         match self {
-            InjectQueue::Sorted(q) => q.enqueue(p),
-            InjectQueue::Fifo(q) => q.enqueue(p),
+            Ready::Edf(q) => q.enqueue(p),
+            Ready::Fifo(q) => q[p.vc.idx()].enqueue(p),
+            #[cfg(test)]
+            Ready::Reference(q) => q[p.vc.idx()].enqueue(p),
         }
     }
-    fn peek(&self) -> Option<&PktTok> {
+    fn peek(&self, vc: Vc) -> Option<&PktTok> {
         match self {
-            InjectQueue::Sorted(q) => q.peek(),
-            InjectQueue::Fifo(q) => q.peek(),
+            Ready::Edf(q) => q.peek(vc),
+            Ready::Fifo(q) => q[vc.idx()].peek(),
+            #[cfg(test)]
+            Ready::Reference(q) => q[vc.idx()].peek(),
         }
     }
-    fn dequeue(&mut self) -> Option<PktTok> {
+    fn dequeue(&mut self, vc: Vc) -> Option<PktTok> {
         match self {
-            InjectQueue::Sorted(q) => q.dequeue(),
-            InjectQueue::Fifo(q) => q.dequeue(),
+            Ready::Edf(q) => q.dequeue(vc),
+            Ready::Fifo(q) => q[vc.idx()].dequeue(),
+            #[cfg(test)]
+            Ready::Reference(q) => q[vc.idx()].dequeue(),
         }
     }
-    fn len(&self) -> usize {
+    fn len(&self, vc: Vc) -> usize {
         match self {
-            InjectQueue::Sorted(q) => SchedQueue::len(q),
-            InjectQueue::Fifo(q) => SchedQueue::len(q),
+            Ready::Edf(q) => q.len(vc),
+            Ready::Fifo(q) => SchedQueue::len(&q[vc.idx()]),
+            #[cfg(test)]
+            Ready::Reference(q) => SchedQueue::len(&q[vc.idx()]),
         }
     }
 }
@@ -80,8 +94,8 @@ pub struct Nic {
     cfg: NicConfig,
     /// Packets not yet eligible, keyed by eligible time (EDF archs only).
     eligible_q: SortedQueue<PktTok>,
-    /// Ready-to-inject queues per VC.
-    ready: [InjectQueue; NUM_VCS],
+    /// Ready-to-inject queues of both VCs.
+    ready: Ready,
     credits: [u32; NUM_VCS],
     tx_busy: bool,
     /// The earliest wake-up already requested (dedup of WakeAt actions).
@@ -99,7 +113,7 @@ impl Nic {
         Nic {
             cfg,
             eligible_q: SortedQueue::new(),
-            ready: [InjectQueue::new(cfg.arch), InjectQueue::new(cfg.arch)],
+            ready: Ready::new(cfg.arch),
             credits: [cfg.peer_buffer_per_vc; NUM_VCS],
             tx_busy: false,
             wake_at: None,
@@ -127,7 +141,7 @@ impl Nic {
 
     /// Packets currently queued (all stages).
     pub fn queued_packets(&self) -> usize {
-        self.eligible_q.len() + self.ready[0].len() + self.ready[1].len()
+        self.eligible_q.len() + self.ready.len(Vc::REGULATED) + self.ready.len(Vc::BEST_EFFORT)
     }
 
     /// Remaining injection credit toward the leaf switch on `vc`
@@ -151,7 +165,7 @@ impl Nic {
             if self.cfg.arch.uses_deadlines() && p.eligible > now {
                 self.eligible_q.insert(p.eligible, p);
             } else {
-                self.ready[p.vc.idx()].enqueue(p);
+                self.ready.enqueue(p);
             }
         }
         self.stats.max_queued_packets = self.stats.max_queued_packets.max(self.queued_packets());
@@ -184,8 +198,7 @@ impl Nic {
             if self.tracing {
                 self.notes.push(ModelNote::Promoted { pkt: p.id });
             }
-            let vc = p.vc.idx();
-            self.ready[vc].enqueue(p);
+            self.ready.enqueue(p);
         }
         self.try_tx(now, actions);
         // Arrange a wake-up for the next eligible head, if it is not
@@ -213,7 +226,7 @@ impl Nic {
         // best-effort may use a link the regulated VC cannot).
         let mut chosen = None;
         for vc in Vc::ALL {
-            match self.ready[vc.idx()].peek() {
+            match self.ready.peek(vc) {
                 Some(head) if self.credits[vc.idx()] >= head.len => {
                     chosen = Some(vc);
                     break;
@@ -224,7 +237,7 @@ impl Nic {
         let Some(vc) = chosen else { return };
         // tidy: allow(no-unwrap) -- vc was chosen above precisely because
         // its ready queue had a head packet; nothing ran in between.
-        let tok = self.ready[vc.idx()].dequeue().expect("nonempty");
+        let tok = self.ready.dequeue(vc).expect("nonempty");
         let len = tok.len;
         self.credits[vc.idx()] -= len;
         self.tx_busy = true;
@@ -256,7 +269,7 @@ impl NodeModel for Nic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqos_core::TrafficClass;
+    use dqos_core::{TrafficClass, NUM_CLASSES};
 
     fn cfg(arch: Architecture) -> NicConfig {
         NicConfig { arch, link_bw: Bandwidth::gbps(8), peer_buffer_per_vc: 8192 }
@@ -545,6 +558,122 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A NIC whose ready queues are the reference deadline-sorted queues.
+    fn reference_nic(cfg: NicConfig) -> Nic {
+        use dqos_queues::DeadlineSortedQueue;
+        let mut nic = Nic::new(cfg);
+        nic.ready = Ready::Reference([DeadlineSortedQueue::new(), DeadlineSortedQueue::new()]);
+        nic
+    }
+
+    /// What an action list says, in a comparable form.
+    fn said(actions: &[NodeAction]) -> Vec<(Option<PktTok>, SimTime)> {
+        actions
+            .iter()
+            .map(|a| match *a {
+                NodeAction::StartTx { tok, finish, .. } => (Some(tok), finish),
+                NodeAction::WakeAt { at } => (None, at),
+                other => panic!("a NIC never emits {other:?}"),
+            })
+            .collect()
+    }
+
+    /// Differential test: seeded random interleavings of enqueue, wake,
+    /// credit and tx-done over all four classes make the per-class-run
+    /// NIC emit exactly the actions (every `StartTx` token and finish
+    /// time, every wake-up) of a NIC on one deadline-sorted queue per
+    /// VC. Deadlines sometimes step backwards within a class, so the
+    /// fallback heap runs too.
+    #[test]
+    fn class_runs_inject_in_reference_order() {
+        use crate::runs::BLOCK_ENTRIES;
+        use dqos_sim_core::SimRng;
+        let mut late_inserts = 0;
+        let mut started = 0usize;
+        let mut deepest = 0usize;
+        for seed in 0..48u64 {
+            let mut rng = SimRng::new(0x4E1C_0000 + seed);
+            let arch = [Architecture::Ideal, Architecture::Simple2Vc, Architecture::Advanced2Vc]
+                [seed as usize % 3];
+            let peer = 4096 + 512 * rng.index(8) as u32;
+            let cfg = NicConfig { arch, link_bw: Bandwidth::gbps(8), peer_buffer_per_vc: peer };
+            let (mut nic, mut refn) = (Nic::new(cfg), reference_nic(cfg));
+            let back_p = [0.0, 0.02, 0.2][seed as usize % 3];
+            let mut now = 0u64;
+            let mut clock = [0u64; NUM_CLASSES];
+            let mut id = 0u64;
+            let mut owed = [0u32; NUM_VCS];
+            let mut tx_end: Option<u64> = None;
+            for _ in 0..600 {
+                now += rng.range_u64(0, 700);
+                let t = SimTime::from_ns(now);
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                match rng.index(8) {
+                    0..=3 => {
+                        let batch: Vec<PktTok> = (0..1 + rng.index(6))
+                            .map(|_| {
+                                let class = TrafficClass::ALL[rng.index(NUM_CLASSES)];
+                                let c = class.idx();
+                                clock[c] = clock[c].max(now) + rng.range_u64(0, 3_000);
+                                let deadline = if rng.chance(back_p) {
+                                    clock[c].saturating_sub(rng.range_u64(1, 20_000))
+                                } else {
+                                    clock[c]
+                                };
+                                // Some regulated packets wait for eligibility.
+                                let eligible = (class.is_regulated() && rng.chance(0.4))
+                                    .then(|| now + rng.range_u64(0, 5_000));
+                                id += 1;
+                                let len = 64 * (1 + rng.index(32) as u32);
+                                pkt(id, class, len, deadline, eligible)
+                            })
+                            .collect();
+                        nic.enqueue_batch(&batch, t, &mut a);
+                        refn.enqueue_batch(&batch, t, &mut b);
+                    }
+                    4 => {
+                        nic.on_wake(t, &mut a);
+                        refn.on_wake(t, &mut b);
+                    }
+                    5 | 6 => {
+                        if tx_end.is_none_or(|e| e > now) {
+                            continue;
+                        }
+                        tx_end = None;
+                        nic.on_tx_done(t, &mut a);
+                        refn.on_tx_done(t, &mut b);
+                    }
+                    _ => {
+                        let vc = rng.index(NUM_VCS);
+                        if owed[vc] == 0 {
+                            continue;
+                        }
+                        let bytes = 1 + rng.range_u64(0, owed[vc] as u64 - 1) as u32;
+                        owed[vc] -= bytes;
+                        nic.on_credit(Vc::ALL[vc], bytes, t, &mut a);
+                        refn.on_credit(Vc::ALL[vc], bytes, t, &mut b);
+                    }
+                }
+                assert_eq!(said(&a), said(&b), "seed {seed}: actions diverged at t={now}");
+                for act in &a {
+                    if let NodeAction::StartTx { tok, finish, .. } = act {
+                        owed[tok.vc.idx()] += tok.len;
+                        tx_end = Some(finish.as_ns());
+                        started += 1;
+                    }
+                }
+                assert_eq!(nic.queued_packets(), refn.queued_packets());
+            }
+            if let Ready::Edf(runs) = &nic.ready {
+                late_inserts += runs.late_inserts;
+            }
+            deepest = deepest.max(nic.stats().max_queued_packets);
+        }
+        assert!(started > 3_000, "the link must be busy enough to matter ({started})");
+        assert!(deepest > 8 * BLOCK_ENTRIES, "backlogs must span many blocks ({deepest})");
+        assert!(late_inserts > 100, "backward deadlines must reach the fallback ({late_inserts})");
     }
 
     #[test]

@@ -4,14 +4,26 @@ use dqos_core::{FlowId, TrafficClass, NUM_CLASSES};
 use dqos_sim_core::SimTime;
 use dqos_stats::{ClassStats, JitterTracker, Report};
 
+/// One flow's jitter slot: its class and tracker, once it has completed
+/// a message in the window.
+type JitterSlot = Option<(TrafficClass, JitterTracker)>;
+
+/// Flow ids per page of jitter slots.
+const JITTER_PAGE: usize = 512;
+
 /// Collects deliveries and offered traffic inside the measurement window
 /// and emits a [`Report`].
 pub struct Collector {
     start: SimTime,
     end: SimTime,
     classes: [ClassStats; NUM_CLASSES],
-    /// Per-flow message jitter, merged into class aggregates at the end.
-    flow_jitter: Vec<Option<(TrafficClass, JitterTracker)>>,
+    /// Per-flow message jitter, merged into class aggregates at the end,
+    /// in pages of [`JITTER_PAGE`] flow ids. A page exists once one of
+    /// its flows completes a message in the window: a paper fabric has
+    /// ≈129 k flow ids, so a dense vector would double its way to
+    /// ≈17 MB (plus the copy while it grows) although a short window
+    /// completes messages on a fraction of them.
+    flow_jitter: Vec<Option<Box<[JitterSlot]>>>,
 }
 
 impl Collector {
@@ -73,11 +85,12 @@ impl Collector {
         let c = &mut self.classes[class.idx()];
         c.message_latency.record(lat);
         c.delivered.record_message();
-        let idx = flow.idx();
-        if idx >= self.flow_jitter.len() {
-            self.flow_jitter.resize_with(idx + 1, || None);
+        let (page, i) = (flow.idx() / JITTER_PAGE, flow.idx() % JITTER_PAGE);
+        if page >= self.flow_jitter.len() {
+            self.flow_jitter.resize_with(page + 1, || None);
         }
-        self.flow_jitter[idx]
+        self.flow_jitter[page]
+            .get_or_insert_with(|| vec![None; JITTER_PAGE].into_boxed_slice())[i]
             .get_or_insert_with(|| (class, JitterTracker::new()))
             .1
             .record(lat);
@@ -89,9 +102,9 @@ impl Collector {
     /// over partitions equals the serial totals exactly. Per-flow jitter
     /// trackers keep their slot (flow ids are global): each flow is
     /// terminated by exactly one host, hence one partition, so slots
-    /// never collide and the merged vector is identical to the serial
-    /// one — [`Collector::finish`] then folds it in the same flow-id
-    /// order, reproducing the serial report bit for bit.
+    /// never collide and the merged pages hold exactly the serial
+    /// trackers — [`Collector::finish`] then folds them in the same
+    /// flow-id order, reproducing the serial report bit for bit.
     pub fn merge(&mut self, other: Collector) {
         debug_assert!(self.start == other.start && self.end == other.end, "same window");
         for (a, b) in self.classes.iter_mut().zip(&other.classes) {
@@ -100,11 +113,18 @@ impl Collector {
         if self.flow_jitter.len() < other.flow_jitter.len() {
             self.flow_jitter.resize_with(other.flow_jitter.len(), || None);
         }
-        for (slot, entry) in self.flow_jitter.iter_mut().zip(other.flow_jitter) {
-            if let Some((class, tracker)) = entry {
-                match slot {
-                    Some((_, t)) => t.merge(&tracker),
-                    None => *slot = Some((class, tracker)),
+        for (mine, theirs) in self.flow_jitter.iter_mut().zip(other.flow_jitter) {
+            let Some(theirs) = theirs else { continue };
+            let Some(mine) = mine else {
+                *mine = Some(theirs);
+                continue;
+            };
+            for (slot, entry) in mine.iter_mut().zip(theirs.into_vec()) {
+                if let Some((class, tracker)) = entry {
+                    match slot {
+                        Some((_, t)) => t.merge(&tracker),
+                        None => *slot = Some((class, tracker)),
+                    }
                 }
             }
         }
@@ -113,8 +133,8 @@ impl Collector {
     /// Finish: merge per-flow jitter into class aggregates and render the
     /// report.
     pub fn finish(mut self, architecture: &str, load: f64) -> Report {
-        for entry in self.flow_jitter.into_iter().flatten() {
-            let (class, tracker) = entry;
+        let slots = self.flow_jitter.into_iter().flatten().flat_map(|page| page.into_vec());
+        for (class, tracker) in slots.flatten() {
             self.classes[class.idx()].jitter.merge(&tracker);
         }
         Report {
@@ -179,6 +199,27 @@ mod tests {
         let mm = r.class("Multimedia").unwrap();
         assert_eq!(mm.jitter.mean_abs_delta(), 0.0, "cross-flow deltas must not count");
         assert_eq!(mm.jitter.count(), 20);
+    }
+
+    /// Flows spread over several jitter pages, split between two
+    /// collectors the way partitions split them (each flow in exactly
+    /// one), merge to exactly the report one collector makes.
+    #[test]
+    fn paged_jitter_merges_to_the_single_collector_report() {
+        let flows = [0u32, 1, 511, 512, 1023, 5_000, 129_000];
+        let (mut one, mut a, mut b) = (collector(), collector(), collector());
+        let mut rng = dqos_sim_core::SimRng::new(0x717);
+        for k in 0..400u64 {
+            let f = flows[rng.index(flows.len())];
+            let class = TrafficClass::ALL[f as usize % NUM_CLASSES];
+            let t = SimTime::from_us(1000 + k);
+            let created = SimTime::from_ns(rng.range_u64(0, 900_000));
+            one.message_completed(class, FlowId(f), created, t);
+            let part = if f % 3 == 0 { &mut a } else { &mut b };
+            part.message_completed(class, FlowId(f), created, t);
+        }
+        b.merge(a);
+        assert_eq!(b.finish("x", 1.0).to_json(), one.finish("x", 1.0).to_json());
     }
 
     #[test]

@@ -42,9 +42,9 @@ const SAME_TICK_LIMIT: u64 = 10_000_000;
 /// credit loop admits.
 const EVENT_RING_WORDS: usize = 1 << 13;
 
-/// Word capacity of each packet lane. A lane record is 13 words
-/// (length prefix, lane sequence, 11 packet words), so a lane holds
-/// ~5 000 packets — comfortably above the ~1 600 packet-carrying
+/// Word capacity of each packet lane. A lane record is 12 words
+/// (length prefix, lane sequence, 10 packet words), so a lane holds
+/// ~5 400 packets — comfortably above the ~1 600 packet-carrying
 /// records its event ring can hold, which bounds lane occupancy (see
 /// `crate::runtime` module docs). The sizing keeps `wire()`'s
 /// lane-push infallible.
@@ -584,7 +584,7 @@ impl Network {
                 switch_ids: Vec::new(),
                 hosts: Vec::new(),
                 switches: Vec::new(),
-                arena: SoaArena::with_capacity(1 << 12),
+                arena: SoaArena::new(),
                 collector: Collector::new(cfg.window_start(), cfg.window_end()),
                 faults: self.faults.clone(),
                 flows: flows.clone(),

@@ -73,7 +73,7 @@
 //! propagation or credit return, whichever is smaller) is the
 //! executor's per-edge lookahead.
 
-use crate::arena::SoaArena;
+use crate::arena::{SoaArena, PKT_ID_HOST_SHIFT};
 use crate::collect::Collector;
 use crate::config::SimConfig;
 use crate::error::{SimError, StallSnapshot};
@@ -226,15 +226,15 @@ impl RingMsg for Msg {
 
 /// Words per packet-lane record (excluding the sender's sequence word
 /// and the ring's own length prefix). See [`encode_packet`].
-pub(crate) const PKT_WORDS: usize = 11;
+pub(crate) const PKT_WORDS: usize = 10;
 
-/// Word-encode a full [`Packet`] for the lane. Fixed layout, 11 words:
+/// Word-encode a full [`Packet`] for the lane. Fixed layout, 10 words:
 /// ids and times flat, small fields packed, the interned route as one
 /// byte-packed word (`MAX_ROUTE_HOPS` ≤ 8 ports of one byte each).
+/// `injected_at` is not carried (the arena does not keep it either).
 pub(crate) fn encode_packet(pkt: &Packet, out: &mut Vec<u64>) {
     out.push(pkt.id);
     out.push(pkt.deadline.as_ns());
-    out.push(pkt.injected_at.as_ns());
     out.push(pkt.msg.msg_id);
     out.push(pkt.msg.created_at.as_ns());
     out.push(pkt.msg.part as u64 | (pkt.msg.parts as u64) << 32);
@@ -259,29 +259,29 @@ pub(crate) fn encode_packet(pkt: &Packet, out: &mut Vec<u64>) {
 /// Inverse of [`encode_packet`].
 pub(crate) fn decode_packet(w: &[u64]) -> Packet {
     debug_assert_eq!(w.len(), PKT_WORDS, "lane record has a fixed layout");
-    let flags = w[8];
+    let flags = w[7];
     let route_len = (flags >> 24) as usize;
     let mut ports = [Port(0); dqos_topology::MAX_ROUTE_HOPS];
     for (i, p) in ports.iter_mut().take(route_len).enumerate() {
-        *p = Port((w[9] >> (8 * i)) as u8);
+        *p = Port((w[8] >> (8 * i)) as u8);
     }
     Packet {
         id: w[0],
-        flow: dqos_core::FlowId((w[6] & 0xFFFF_FFFF) as u32),
+        flow: dqos_core::FlowId((w[5] & 0xFFFF_FFFF) as u32),
         class: TrafficClass::from_idx((flags & 0xFF) as usize),
-        src: HostId((w[7] & 0xFFFF_FFFF) as u32),
-        dst: HostId((w[7] >> 32) as u32),
-        len: (w[6] >> 32) as u32,
+        src: HostId((w[6] & 0xFFFF_FFFF) as u32),
+        dst: HostId((w[6] >> 32) as u32),
+        len: (w[5] >> 32) as u32,
         deadline: SimTime::from_ns(w[1]),
-        eligible: if flags & (1 << 17) != 0 { Some(SimTime::from_ns(w[10])) } else { None },
+        eligible: if flags & (1 << 17) != 0 { Some(SimTime::from_ns(w[9])) } else { None },
         route: PortPath::new(&ports[..route_len]),
         hop: ((flags >> 8) & 0xFF) as u8,
-        injected_at: SimTime::from_ns(w[2]),
+        injected_at: SimTime::ZERO,
         msg: MsgTag {
-            msg_id: w[3],
-            part: (w[5] & 0xFFFF_FFFF) as u32,
-            parts: (w[5] >> 32) as u32,
-            created_at: SimTime::from_ns(w[4]),
+            msg_id: w[2],
+            part: (w[4] & 0xFFFF_FFFF) as u32,
+            parts: (w[4] >> 32) as u32,
+            created_at: SimTime::from_ns(w[3]),
         },
         corrupted: flags & (1 << 16) != 0,
     }
@@ -474,9 +474,7 @@ impl Partition {
         if dst_part == self.part {
             return WirePkt::Local(tok);
         }
-        let mut pkt = self.arena.take(tok.slot);
-        pkt.deadline = tok.deadline;
-        pkt.hop = tok.hop;
+        let pkt = self.arena.take(&tok);
         let seq = self.lane_seq_out[dst_part as usize];
         self.lane_seq_out[dst_part as usize] = seq.wrapping_add(1);
         self.lane_buf.clear();
@@ -720,7 +718,7 @@ impl Partition {
         hs.next_msg_id += 1;
         let n = parts.len() as u32;
         for (i, (&len, st)) in parts.iter().zip(&stamps).enumerate() {
-            let id = ((host as u64) << 40) | hs.next_pkt;
+            let id = ((host as u64) << PKT_ID_HOST_SHIFT) | hs.next_pkt;
             hs.next_pkt += 1;
             let pkt = Packet {
                 id,
@@ -733,7 +731,7 @@ impl Partition {
                 eligible: st.eligible,
                 route,
                 hop: 0,
-                injected_at: now,
+                injected_at: SimTime::ZERO,
                 msg: MsgTag { msg_id, part: i as u32, parts: n, created_at: now },
                 corrupted: false,
             };
@@ -781,10 +779,6 @@ impl Partition {
                     let finish_g = clock.global_of(finish);
                     let k = self.next_key(host);
                     out.send(host, finish_g, k, Msg::HostTxDone);
-                    // The injection timestamp is stats-only; the runtime
-                    // stamps it because it owns the arena the NIC's token
-                    // points into.
-                    self.arena.set_injected_at(tok.slot, now);
                     if self.tracer.on() {
                         // Serialisation starts at the handling instant;
                         // `finish` is start + tx time.
@@ -834,7 +828,7 @@ impl Partition {
                 // credit and the host eventually wedges.) The arena slot
                 // is reclaimed here: the resident packet is gone.
                 self.fault_dropped[tok.class.idx()] += 1;
-                let _ = self.arena.take(tok.slot);
+                let _ = self.arena.take(&tok);
                 if self.tracer.on() {
                     // Recorded at the handling instant, not the would-be
                     // arrival: future-dated events would break the
@@ -980,7 +974,7 @@ impl Partition {
                 // so this switch's output credit for the hop synthesizes
                 // back (see ship_from_host). The arena slot is reclaimed.
                 self.fault_dropped[tok.class.idx()] += 1;
-                let _ = self.arena.take(tok.slot);
+                let _ = self.arena.take(&tok);
                 if self.tracer.on() {
                     // At `now`, not the would-be arrival (see
                     // ship_from_host).
@@ -1202,16 +1196,10 @@ impl PartWorld for Partition {
             }
             Msg::HostArrive { pkt } => {
                 let pkt = match pkt {
-                    WirePkt::Local(tok) => {
-                        // Reassemble from the arena and sync the fields the
-                        // token carried: the TTD-decoded deadline (still in
-                        // the transmitting leaf's domain — the final hop
-                        // carries no TTD) and the hop index.
-                        let mut p = self.arena.take(tok.slot);
-                        p.deadline = tok.deadline;
-                        p.hop = tok.hop;
-                        p
-                    }
+                    // Reassembled with the token's header fields: the
+                    // TTD-decoded deadline is still in the transmitting
+                    // leaf's domain (the final hop carries no TTD).
+                    WirePkt::Local(tok) => self.arena.take(&tok),
                     // tidy: allow(no-unwrap) -- see SwitchArrive above.
                     WirePkt::InFlight { .. } => unreachable!("tickets are redeemed at drain"),
                 };

@@ -19,7 +19,9 @@
 //!   inputs.
 //! * [`SortedQueue`] — true ordered-insert queue, used in the **end
 //!   hosts** (which, unlike switches, can afford real sorted queues) for
-//!   the eligible-time queue and the deadline injection queue.
+//!   the eligible-time queue. [`DeadlineSortedQueue`] keys it by
+//!   deadline: it is the reference order the NIC's per-class injection
+//!   runs are tested against (`dqos-endhost`), not a hot-path queue.
 //! * [`Voq`] — per-output-port composition of any of the above
 //!   (virtual output queuing, the paper's head-of-line-blocking
 //!   countermeasure at the switch level).

@@ -91,8 +91,10 @@ impl<T: Deadlined> SortedQueue<T> {
     }
 }
 
-/// Convenience: a `SortedQueue` always keyed by the item's deadline
-/// behaves like the other [`SchedQueue`]s (the host injection queue).
+/// A `SortedQueue` always keyed by the item's deadline, behaving like
+/// the other [`SchedQueue`]s: one stable deadline-sorted injection queue
+/// per VC. The NIC keeps per-class runs instead; this is the order they
+/// must reproduce, and the reference its differential test runs on.
 #[derive(Debug, Clone, Default)]
 pub struct DeadlineSortedQueue<T>(SortedQueue<T>);
 

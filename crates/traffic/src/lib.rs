@@ -33,4 +33,4 @@ pub use hotspot::HotspotSource;
 pub use mix::{build_host_sources, HotspotSpec, MixConfig};
 pub use selfsimilar::SelfSimilarSource;
 pub use source::{AppMessage, SourceNode, TrafficSource};
-pub use video::VideoSource;
+pub use video::{VideoParams, VideoSource};

@@ -3,10 +3,11 @@
 use crate::control::ControlSource;
 use crate::selfsimilar::SelfSimilarSource;
 use crate::source::{random_dst, TrafficSource};
-use crate::video::VideoSource;
+use crate::video::{VideoParams, VideoSource};
 use dqos_core::TrafficClass;
 use dqos_sim_core::{Bandwidth, SimDuration, SimRng};
 use dqos_topology::HostId;
+use std::sync::Arc;
 
 /// Workload parameters (§4.2 defaults).
 #[derive(Debug, Clone, Copy)]
@@ -113,17 +114,20 @@ pub fn build_host_sources(
             cfg.control_msg_bounds.1,
         )));
     }
-    // Multimedia: one source per admitted stream.
-    for stream in 0..cfg.video_streams_per_host() {
-        let dst = random_dst(src, n_hosts, rng);
-        out.push(Box::new(VideoSource::new(
-            dst,
-            stream,
+    // Multimedia: one source per admitted stream, all on one shared
+    // parameter block.
+    let n_streams = cfg.video_streams_per_host();
+    if n_streams > 0 {
+        let params = VideoParams::new(
             cfg.video_stream_bw,
             cfg.video_frame_period,
             cfg.video_frame_bounds.0,
             cfg.video_frame_bounds.1,
-        )));
+        );
+        for stream in 0..n_streams {
+            let dst = random_dst(src, n_hosts, rng);
+            out.push(Box::new(VideoSource::with_params(dst, stream, Arc::clone(&params))));
+        }
     }
     // Best-effort and Background: one ON/OFF source each.
     for class in [TrafficClass::BestEffort, TrafficClass::Background] {

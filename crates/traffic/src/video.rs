@@ -19,6 +19,7 @@ use dqos_core::TrafficClass;
 use dqos_sim_core::dist::LogNormal;
 use dqos_sim_core::{Bandwidth, SimDuration, SimRng, SimTime};
 use dqos_topology::HostId;
+use std::sync::Arc;
 
 /// The paper's GoP pattern: I, then (B B P) x3, then B B.
 const GOP: [FrameKind; 12] = [
@@ -56,32 +57,31 @@ impl FrameKind {
     }
 }
 
-/// One MPEG-4 stream.
+/// The parameters every stream of one configuration shares: GoP slot
+/// means, size jitter, frame bounds and cadence. Built once and shared
+/// through an [`Arc`], so a stream costs its destination, index and
+/// GoP position rather than a copy of these (a 128-host paper run has
+/// 80 000 streams).
 #[derive(Debug, Clone)]
-pub struct VideoSource {
-    dst: HostId,
-    stream: u32,
+pub struct VideoParams {
     frame_period: SimDuration,
     /// Mean size per GoP slot, bytes.
     slot_means: [f64; 12],
     jitter: LogNormal,
     min_frame: u64,
     max_frame: u64,
-    gop_pos: usize,
 }
 
-impl VideoSource {
-    /// A stream of `rate` (3 MB/s in the paper) to `dst`, one frame per
-    /// `frame_period` (40 ms in the paper), sizes clamped to
-    /// `[min_frame, max_frame]` (1–120 KiB in Table 1).
+impl VideoParams {
+    /// Streams of `rate` (400 KB/s in the paper, see
+    /// [`crate::MixConfig::paper`]), one frame per `frame_period` (40 ms),
+    /// sizes clamped to `[min_frame, max_frame]` (1–120 KiB in Table 1).
     pub fn new(
-        dst: HostId,
-        stream: u32,
         rate: Bandwidth,
         frame_period: SimDuration,
         min_frame: u64,
         max_frame: u64,
-    ) -> Self {
+    ) -> Arc<Self> {
         assert!(min_frame > 0 && min_frame < max_frame, "bad frame size range");
         let mean_frame = rate.as_bytes_per_sec() as f64 * frame_period.as_secs_f64();
         // Normalise the GoP ratios so the average slot equals mean_frame.
@@ -90,21 +90,51 @@ impl VideoSource {
         for (s, k) in slot_means.iter_mut().zip(GOP.iter()) {
             *s = mean_frame * k.ratio() / ratio_mean;
         }
-        VideoSource {
-            dst,
-            stream,
+        Arc::new(VideoParams {
             frame_period,
             slot_means,
             jitter: LogNormal::from_mean_cv(1.0, 0.3),
             min_frame,
             max_frame,
-            gop_pos: 0,
-        }
+        })
+    }
+}
+
+/// One MPEG-4 stream.
+#[derive(Debug, Clone)]
+pub struct VideoSource {
+    params: Arc<VideoParams>,
+    dst: HostId,
+    stream: u32,
+    gop_pos: usize,
+}
+
+impl VideoSource {
+    /// A stream of `rate` (3 MB/s in the paper) to `dst`, one frame per
+    /// `frame_period` (40 ms in the paper), sizes clamped to
+    /// `[min_frame, max_frame]` (1–120 KiB in Table 1), with parameters
+    /// of its own. Many streams of one configuration should share one
+    /// block through [`VideoSource::with_params`] instead.
+    pub fn new(
+        dst: HostId,
+        stream: u32,
+        rate: Bandwidth,
+        frame_period: SimDuration,
+        min_frame: u64,
+        max_frame: u64,
+    ) -> Self {
+        let params = VideoParams::new(rate, frame_period, min_frame, max_frame);
+        VideoSource::with_params(dst, stream, params)
+    }
+
+    /// A stream to `dst` on a shared parameter block.
+    pub fn with_params(dst: HostId, stream: u32, params: Arc<VideoParams>) -> Self {
+        VideoSource { params, dst, stream, gop_pos: 0 }
     }
 
     /// The frame cadence.
     pub fn frame_period(&self) -> SimDuration {
-        self.frame_period
+        self.params.frame_period
     }
 }
 
@@ -121,21 +151,22 @@ impl TrafficSource for VideoSource {
         // Random phase within one period, and a random GoP start, so
         // streams (and their I frames) de-synchronise.
         self.gop_pos = rng.index(GOP.len());
-        SimTime::from_ns(rng.range_u64(0, self.frame_period.as_ns() - 1))
+        SimTime::from_ns(rng.range_u64(0, self.params.frame_period.as_ns() - 1))
     }
 
     fn emit(&mut self, now: SimTime, rng: &mut SimRng) -> (AppMessage, SimTime) {
-        let mean = self.slot_means[self.gop_pos];
+        let p = &*self.params;
+        let mean = p.slot_means[self.gop_pos];
         self.gop_pos = (self.gop_pos + 1) % GOP.len();
-        let size = (mean * self.jitter.sample(rng)) as u64;
-        let bytes = size.clamp(self.min_frame, self.max_frame);
+        let size = (mean * p.jitter.sample(rng)) as u64;
+        let bytes = size.clamp(p.min_frame, p.max_frame);
         let msg = AppMessage {
             dst: self.dst,
             class: TrafficClass::Multimedia,
             bytes,
             stream: Some(self.stream),
         };
-        (msg, now + self.frame_period)
+        (msg, now + p.frame_period)
     }
 }
 
@@ -221,6 +252,37 @@ mod tests {
         // averages should sit close to them.
         assert!(slot_sums[0] > 1.3 * slot_sums[3], "I ≈ 1.67x P expected");
         assert!(slot_sums[3] > 2.0 * slot_sums[1], "P ≈ 3x B expected");
+    }
+
+    /// Pin: streams on one shared parameter block emit exactly what
+    /// streams with parameters of their own emit, interleaved on one RNG
+    /// the way a host's sources share a calendar.
+    #[test]
+    fn shared_params_emit_what_own_params_emit() {
+        let rate = Bandwidth::bytes_per_sec(400_000);
+        let period = SimDuration::from_ms(40);
+        let params = VideoParams::new(rate, period, 1024, 120 * 1024);
+        let mut shared: Vec<VideoSource> = (0..8)
+            .map(|i| VideoSource::with_params(HostId(i + 1), i, Arc::clone(&params)))
+            .collect();
+        let mut own: Vec<VideoSource> = (0..8)
+            .map(|i| VideoSource::new(HostId(i + 1), i, rate, period, 1024, 120 * 1024))
+            .collect();
+        let run = |streams: &mut Vec<VideoSource>| {
+            let mut rng = SimRng::new(0x5EED);
+            let mut next: Vec<SimTime> =
+                streams.iter_mut().map(|s| s.first_arrival(&mut rng)).collect();
+            let mut out = Vec::new();
+            for k in 0..2_000 {
+                let i = k % streams.len();
+                let (m, t) = streams[i].emit(next[i], &mut rng);
+                out.push((m.dst, m.stream, m.bytes, t));
+                next[i] = t;
+            }
+            out
+        };
+        assert_eq!(run(&mut shared), run(&mut own));
+        assert_eq!(shared[3].frame_period(), period);
     }
 
     #[test]

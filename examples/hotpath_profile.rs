@@ -11,7 +11,14 @@
 //! * **simulated ticks**: the per-class, per-stage table of where
 //!   deadline-missing packets lost their slack (pacing, VC arbitration,
 //!   head-of-line blocking, link stalls, ...), which is how the hot
-//!   spots were found in the first place.
+//!   spots were found in the first place;
+//! * **memory**: an untraced run of the same config, made first so the
+//!   recorder's buffers do not count — peak packets in flight, resident
+//!   set after set-up, the process's `VmHWM` after the run, and the heap
+//!   each in-flight packet costs, `(VmHWM − set-up RSS) / peak in
+//!   flight` (Linux `/proc/self/status`; reported unavailable
+//!   elsewhere). Deep NIC backlogs are what a loaded run holds, so this
+//!   is the figure a footprint regression moves (DESIGN.md §10.6).
 //!
 //! ```text
 //! cargo run --release --example hotpath_profile [hosts] [load] [arch]
@@ -19,12 +26,48 @@
 //! # paper fabric:      cargo run --release --example hotpath_profile 128 1.0 advanced
 //! ```
 //!
-//! `scripts/check.sh` runs the default as a non-gating smoke: the table
-//! is diagnostic output, not a pass/fail criterion.
+//! `scripts/check.sh` runs the default as a non-gating smoke (step 7):
+//! the tables are diagnostic output, not a pass/fail criterion, but a
+//! footprint regression shows in every gate run.
 
 use deadline_qos::core::Architecture;
 use deadline_qos::netsim::presets::{cli_arg, env_workers, scaled_tiny, window_us};
-use deadline_qos::netsim::{Network, TraceSettings};
+use deadline_qos::netsim::{Network, SimConfig, TraceSettings};
+
+/// A `kB` line of `/proc/self/status` (e.g. `VmHWM`), in MiB.
+fn status_mib(key: &str) -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let value = status.lines().find_map(|l| l.strip_prefix(key)?.strip_prefix(':'))?;
+    let kib: f64 = value.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kib / 1024.0)
+}
+
+/// Untraced run of `cfg`: peak packets in flight and where the
+/// process's memory went.
+fn footprint(mut cfg: SimConfig) {
+    cfg.trace = TraceSettings::OFF;
+    let net = Network::new(cfg);
+    let setup = status_mib("VmRSS");
+    let (_, summary) = net.run();
+    let hwm = status_mib("VmHWM");
+    println!("== memory (untraced run) ==");
+    println!(
+        "  peak packets in flight {:>10}   ({})",
+        summary.peak_in_flight,
+        if cfg.workers > 1 { "largest partition" } else { "whole run" }
+    );
+    let (Some(setup), Some(hwm)) = (setup, hwm) else {
+        println!("  VmRSS / VmHWM          unavailable (no /proc/self/status)\n");
+        return;
+    };
+    println!("  VmRSS after set-up     {setup:>10.1} MiB");
+    println!("  VmHWM after run        {hwm:>10.1} MiB");
+    let grown = (hwm - setup).max(0.0) * 1024.0 * 1024.0;
+    println!(
+        "  per in-flight packet   {:>10.0} B    ((VmHWM - set-up RSS) / peak in flight)\n",
+        grown / summary.peak_in_flight.max(1) as f64
+    );
+}
 
 fn main() {
     let hosts: u16 = cli_arg(1, 16);
@@ -44,6 +87,7 @@ fn main() {
         load * 100.0,
         cfg.workers
     );
+    footprint(cfg);
     let wall_start = std::time::Instant::now();
     let (report, summary, trace) = Network::new(cfg).run_traced();
     let wall = wall_start.elapsed();

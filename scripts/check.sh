@@ -44,8 +44,11 @@
 #      run within 2.75x (see examples/trace_overhead.rs for why two
 #      budgets and how they were recalibrated after the hot-path work).
 #   7. hotpath_profile example: the self-profiling where-ticks-go table
-#      (slack attribution pointed at the simulator). Non-gating — its
-#      output is diagnostic, so a failure warns instead of failing.
+#      (slack attribution pointed at the simulator) and the memory
+#      footprint of an untraced run (peak packets in flight, VmHWM,
+#      bytes per in-flight packet), so a footprint regression shows in
+#      every gate run. Non-gating — its output is diagnostic, so a
+#      failure warns instead of failing.
 #   8. mcheck: bounded-exhaustive concurrency exploration of the
 #      *production* ring/exec protocols under the dqos-mcheck-rt
 #      controlled scheduler (DESIGN.md §13) — the scheduler's own
