@@ -60,6 +60,15 @@ impl DeadlineMode {
             }
         }
     }
+
+    /// The deadline of the next packet of a flow whose previous packet
+    /// was due at `last`: `D(Pᵢ) = max(D(Pᵢ₋₁), T_now) + increment`.
+    /// [`Stamper`] keeps `last` for a flow; a flow record that keeps
+    /// only its last deadline stamps through this directly.
+    #[inline]
+    pub fn next_deadline(&self, last: SimTime, now: SimTime, len: u32, parts: u32) -> SimTime {
+        last.max(now) + self.increment(len, parts)
+    }
 }
 
 /// Per-flow stamping state: the deadline of the previous packet.
@@ -125,8 +134,7 @@ impl Stamper {
     ///
     /// Implements `D(Pᵢ) = max(D(Pᵢ₋₁), T_now) + increment`.
     pub fn stamp(&mut self, now: SimTime, len: u32, parts: u32) -> StampedTimes {
-        let base = self.last_deadline.max(now);
-        let deadline = base + self.mode.increment(len, parts);
+        let deadline = self.mode.next_deadline(self.last_deadline, now, len, parts);
         self.last_deadline = deadline;
         let eligible = self
             .eligible_lead
@@ -136,8 +144,21 @@ impl Stamper {
 
     /// Stamp every packet of a message whose parts have the given sizes.
     pub fn stamp_message(&mut self, now: SimTime, part_sizes: &[u32]) -> Vec<StampedTimes> {
+        let mut out = Vec::with_capacity(part_sizes.len());
+        self.stamp_message_into(now, part_sizes, &mut out);
+        out
+    }
+
+    /// [`Stamper::stamp_message`], appending to `out` (a caller's
+    /// reusable buffer) instead of allocating.
+    pub fn stamp_message_into(
+        &mut self,
+        now: SimTime,
+        part_sizes: &[u32],
+        out: &mut Vec<StampedTimes>,
+    ) {
         let parts = part_sizes.len() as u32;
-        part_sizes.iter().map(|&len| self.stamp(now, len, parts)).collect()
+        out.extend(part_sizes.iter().map(|&len| self.stamp(now, len, parts)));
     }
 }
 
@@ -146,16 +167,23 @@ impl Stamper {
 /// E.g. the paper's example: an 80 KiB frame with a 2 KiB MTU becomes 40
 /// packets. The final packet carries the remainder.
 pub fn segment_message(bytes: u64, mtu: u32) -> Vec<u32> {
+    let mut parts = Vec::new();
+    segment_message_into(bytes, mtu, &mut parts);
+    parts
+}
+
+/// [`segment_message`], appending the lengths to `out` (a caller's
+/// reusable buffer) instead of allocating.
+pub fn segment_message_into(bytes: u64, mtu: u32, out: &mut Vec<u32>) {
     assert!(mtu > 0, "MTU must be positive");
     assert!(bytes > 0, "cannot segment an empty message");
     let full = (bytes / mtu as u64) as usize;
     let rem = (bytes % mtu as u64) as u32;
-    let mut parts = Vec::with_capacity(full + usize::from(rem > 0));
-    parts.extend(std::iter::repeat_n(mtu, full));
+    out.reserve(full + usize::from(rem > 0));
+    out.extend(std::iter::repeat_n(mtu, full));
     if rem > 0 {
-        parts.push(rem);
+        out.push(rem);
     }
-    parts
 }
 
 #[cfg(test)]

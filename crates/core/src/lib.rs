@@ -46,7 +46,7 @@ pub use admission::{AdmissionController, AdmissionError, AdmissionState, Admitte
 pub use arch::{Architecture, SwitchQueueKind};
 pub use class::{TrafficClass, Vc, NUM_CLASSES, NUM_VCS};
 pub use clock::{ClockDomain, Ttd};
-pub use deadline::{segment_message, DeadlineMode, Stamper};
+pub use deadline::{segment_message, segment_message_into, DeadlineMode, Stamper};
 pub use deadline::StampedTimes;
 pub use flow::{Flow, FlowId, FlowSpec, PartStamp};
 pub use model::{Actions, NicEvent, NodeModel, SwitchEvent};

@@ -53,7 +53,10 @@ impl Ready {
             Ready::Fifo([FlatFifo::new(), FlatFifo::new()])
         }
     }
-    fn enqueue(&mut self, p: PktTok) {
+    /// Queue a ready token. Its eligible time is spent (the wire never
+    /// carries it), so the queues keep it zeroed.
+    fn enqueue(&mut self, mut p: PktTok) {
+        p.eligible = SimTime::ZERO;
         match self {
             Ready::Edf(q) => q.enqueue(p),
             Ready::Fifo(q) => q[p.vc.idx()].enqueue(p),
@@ -61,12 +64,12 @@ impl Ready {
             Ready::Reference(q) => q[p.vc.idx()].enqueue(p),
         }
     }
-    fn peek(&self, vc: Vc) -> Option<&PktTok> {
+    fn peek(&self, vc: Vc) -> Option<PktTok> {
         match self {
             Ready::Edf(q) => q.peek(vc),
-            Ready::Fifo(q) => q[vc.idx()].peek(),
+            Ready::Fifo(q) => q[vc.idx()].peek().copied(),
             #[cfg(test)]
-            Ready::Reference(q) => q[vc.idx()].peek(),
+            Ready::Reference(q) => q[vc.idx()].peek().copied(),
         }
     }
     fn dequeue(&mut self, vc: Vc) -> Option<PktTok> {

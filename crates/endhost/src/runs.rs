@@ -21,6 +21,13 @@
 //! the footprint follows the packets queued (plus at most one partly used
 //! block per run at each end), not the deepest backlog any one queue
 //! ever reached.
+//!
+//! A block entry keeps only what differs between the tokens of one run
+//! (32 bytes): the run implies the VC and class, a host token is at hop
+//! 0, and a ready token's eligible time is spent (the NIC zeroes it on
+//! promotion, and the wire never carries it). A token whose length does
+//! not fit the entry's 16 bits takes the fallback heap, which keeps
+//! whole tokens.
 
 // tidy: hot-path
 
@@ -30,7 +37,7 @@ use dqos_topology::Port;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-/// Entries per block (48 bytes each: the token and its sequence key).
+/// Entries per block.
 const BLOCK: usize = 64;
 
 /// No block.
@@ -39,13 +46,53 @@ const NIL: u32 = u32::MAX;
 /// Sort key of a queued token: deadline, then VC insertion order.
 type Key = (SimTime, u64);
 
+/// One queued token of a run, with its sequence key.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    id: u64,
+    deadline: SimTime,
+    seq: u64,
+    slot: u32,
+    len: u16,
+    out: Port,
+}
+
+// A widened field must fail the build: a loaded paper run queues ≈100 k.
+const _: () = assert!(std::mem::size_of::<Entry>() <= 32);
+
+impl Entry {
+    const VACANT: Entry =
+        Entry { id: 0, deadline: SimTime::ZERO, seq: 0, slot: 0, len: 0, out: Port(0) };
+
+    /// The entry for `tok`, if its length fits.
+    fn of(seq: u64, tok: &PktTok) -> Option<Entry> {
+        debug_assert!(tok.hop == 0 && tok.eligible == SimTime::ZERO, "not a ready host token");
+        let len = u16::try_from(tok.len).ok()?;
+        Some(Entry { id: tok.id, deadline: tok.deadline, seq, slot: tok.slot, len, out: tok.out })
+    }
+
+    /// The token back, on `class`'s run.
+    fn tok(&self, class: TrafficClass) -> PktTok {
+        PktTok {
+            id: self.id,
+            deadline: self.deadline,
+            eligible: SimTime::ZERO,
+            slot: self.slot,
+            len: self.len as u32,
+            out: self.out,
+            hop: 0,
+            vc: class.vc(),
+            class,
+        }
+    }
+}
+
 /// A fixed-size piece of a run.
 #[derive(Debug)]
 struct Block {
     /// The following block of the same run, or [`NIL`].
     next: u32,
-    seq: [u64; BLOCK],
-    tok: [PktTok; BLOCK],
+    ent: [Entry; BLOCK],
 }
 
 /// Blocks shared by all runs of one NIC.
@@ -62,18 +109,7 @@ impl Pool {
             self.blocks[b as usize].next = NIL;
             return b;
         }
-        let vacant = PktTok {
-            id: 0,
-            deadline: SimTime::ZERO,
-            eligible: SimTime::ZERO,
-            slot: 0,
-            len: 0,
-            out: Port(0),
-            hop: 0,
-            vc: Vc::REGULATED,
-            class: TrafficClass::Control,
-        };
-        self.blocks.push(Box::new(Block { next: NIL, seq: [0; BLOCK], tok: [vacant; BLOCK] }));
+        self.blocks.push(Box::new(Block { next: NIL, ent: [Entry::VACANT; BLOCK] }));
         (self.blocks.len() - 1) as u32
     }
 
@@ -129,17 +165,9 @@ impl Run {
         Run { head: NIL, tail: NIL, lo: 0, hi: 0, last: SimTime::ZERO, late: BinaryHeap::new() }
     }
 
-    /// Empty run, hence empty heap: a fallback entry undercuts the run's
-    /// tail when it arrives, and later appends only raise the tail, so
-    /// every fallback entry leaves before the run's last entry does.
-    fn is_empty(&self) -> bool {
-        debug_assert!(self.head != NIL || self.late.is_empty(), "heap outlived its run");
-        self.head == NIL
-    }
-
-    /// Append `tok`: the caller guarantees its deadline is not below
-    /// the run's tail.
-    fn push(&mut self, pool: &mut Pool, seq: u64, tok: PktTok) {
+    /// Append `e`: the caller guarantees its deadline is not below the
+    /// tail of the block chain.
+    fn push(&mut self, pool: &mut Pool, e: Entry) {
         if self.head == NIL {
             let b = pool.alloc();
             (self.head, self.tail, self.lo, self.hi) = (b, b, 0, 0);
@@ -148,40 +176,40 @@ impl Run {
             pool.blocks[self.tail as usize].next = b;
             (self.tail, self.hi) = (b, 0);
         }
-        let blk = &mut pool.blocks[self.tail as usize];
-        blk.seq[self.hi] = seq;
-        blk.tok[self.hi] = tok;
+        pool.blocks[self.tail as usize].ent[self.hi] = e;
         self.hi += 1;
-        self.last = tok.deadline;
+        self.last = e.deadline;
     }
 
     /// The smallest key queued and whether it sits in the fallback heap.
     fn head_key(&self, pool: &Pool) -> Option<(Key, bool)> {
-        if self.is_empty() {
-            return None;
+        let late = self.late.peek().map(|l| l.key.0);
+        if self.head == NIL {
+            return late.map(|k| (k, true));
         }
-        let blk = &pool.blocks[self.head as usize];
-        let run = (blk.tok[self.lo].deadline, blk.seq[self.lo]);
-        match self.late.peek() {
-            Some(l) if l.key.0 < run => Some((l.key.0, true)),
+        let e = &pool.blocks[self.head as usize].ent[self.lo];
+        let run = (e.deadline, e.seq);
+        match late {
+            Some(k) if k < run => Some((k, true)),
             _ => Some((run, false)),
         }
     }
 
-    fn front<'a>(&'a self, pool: &'a Pool, late: bool) -> Option<&'a PktTok> {
+    /// The head token of `class`'s run, from the heap if `late`.
+    fn front(&self, pool: &Pool, late: bool, class: TrafficClass) -> Option<PktTok> {
         if late {
-            self.late.peek().map(|l| &l.tok)
+            self.late.peek().map(|l| l.tok)
         } else {
-            Some(&pool.blocks[self.head as usize].tok[self.lo])
+            Some(pool.blocks[self.head as usize].ent[self.lo].tok(class))
         }
     }
 
-    fn pop(&mut self, pool: &mut Pool, late: bool) -> Option<PktTok> {
+    fn pop(&mut self, pool: &mut Pool, late: bool, class: TrafficClass) -> Option<PktTok> {
         if late {
             return self.late.pop().map(|l| l.tok);
         }
         let blk = &pool.blocks[self.head as usize];
-        let tok = blk.tok[self.lo];
+        let tok = blk.ent[self.lo].tok(class);
         let next = blk.next;
         self.lo += 1;
         if self.head == self.tail && self.lo == self.hi {
@@ -225,11 +253,14 @@ impl ClassRuns {
         self.seq[v] += 1;
         self.len[v] += 1;
         let run = &mut self.runs[v][c];
-        if !run.is_empty() && tok.deadline < run.last {
-            self.late_inserts += 1;
-            run.late.push(Late { key: Reverse((tok.deadline, seq)), tok });
-        } else {
-            run.push(&mut self.pool, seq, tok);
+        let entry =
+            if run.head != NIL && tok.deadline < run.last { None } else { Entry::of(seq, &tok) };
+        match entry {
+            Some(e) => run.push(&mut self.pool, e),
+            None => {
+                self.late_inserts += 1;
+                run.late.push(Late { key: Reverse((tok.deadline, seq)), tok });
+            }
         }
     }
 
@@ -246,16 +277,16 @@ impl ClassRuns {
         best.map(|(_, c, late)| (c, late))
     }
 
-    pub(crate) fn peek(&self, vc: Vc) -> Option<&PktTok> {
+    pub(crate) fn peek(&self, vc: Vc) -> Option<PktTok> {
         let v = vc.idx();
         let (c, late) = self.pick(v)?;
-        self.runs[v][c].front(&self.pool, late)
+        self.runs[v][c].front(&self.pool, late, TrafficClass::ALL[c])
     }
 
     pub(crate) fn dequeue(&mut self, vc: Vc) -> Option<PktTok> {
         let v = vc.idx();
         let (c, late) = self.pick(v)?;
-        let tok = self.runs[v][c].pop(&mut self.pool, late)?;
+        let tok = self.runs[v][c].pop(&mut self.pool, late, TrafficClass::ALL[c])?;
         self.len[v] -= 1;
         Some(tok)
     }
@@ -327,5 +358,23 @@ mod tests {
             std::iter::from_fn(|| q.dequeue(Vc::REGULATED).map(|t| t.id)).collect();
         assert_eq!(order, vec![3, 1, 2, 4]);
         assert!(q.peek(Vc::REGULATED).is_none());
+    }
+
+    #[test]
+    fn oversize_tokens_take_the_fallback_heap_in_order() {
+        let big = |id, deadline| PktTok { len: 70_000, ..tok(id, TrafficClass::Control, deadline) };
+        let mut q = ClassRuns::new();
+        // Alone in its run: the heap holds the run's only token.
+        q.enqueue(big(1, 300));
+        q.enqueue(tok(2, TrafficClass::Control, 200));
+        q.enqueue(tok(3, TrafficClass::Control, 300));
+        q.enqueue(big(4, 300));
+        q.enqueue(tok(5, TrafficClass::Control, 250));
+        assert_eq!(q.late_inserts, 3, "two oversize tokens, one undercut");
+        assert_eq!(q.peek(Vc::REGULATED).map(|t| t.id), Some(2));
+        let order: Vec<(u64, u32)> =
+            std::iter::from_fn(|| q.dequeue(Vc::REGULATED).map(|t| (t.id, t.len))).collect();
+        assert_eq!(order, vec![(2, 512), (5, 512), (1, 70_000), (3, 512), (4, 70_000)]);
+        assert_eq!(q.len(Vc::REGULATED), 0);
     }
 }

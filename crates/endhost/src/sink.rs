@@ -49,27 +49,41 @@ pub struct SinkStats {
     pub broken_messages: u64,
 }
 
+/// One flow's receive state: the last `(msg_id, part)` seen and the
+/// message under reassembly.
+///
+/// The message under reassembly needs no id of its own: every packet
+/// sets `last_msg` to its message, so while `cur_received > 0` the
+/// current message *is* `last_msg`, and otherwise there is none. And a
+/// flow that has seen no packet is the one state with `cur_received ==
+/// 0` and a non-zero `cur_bytes` ([`UNSEEN`]), since reassembly resets
+/// both counters together.
 #[derive(Debug, Clone, Copy)]
 struct FlowProgress {
     last_msg: u64,
     last_part: u32,
-    seen_any: bool,
-    // Current message under reassembly.
-    cur_msg: u64,
+    /// Packets of the current message received so far.
     cur_received: u32,
+    /// Bytes of the current message received so far ([`UNSEEN`] before
+    /// the flow's first packet).
     cur_bytes: u64,
 }
 
+/// `cur_bytes` of a flow that has received nothing.
+const UNSEEN: u64 = u64::MAX;
+
+// A widened field must fail the build: a paper-fabric run keeps ≈129 k.
+const _: () = assert!(std::mem::size_of::<FlowProgress>() <= 24);
+
 impl Default for FlowProgress {
     fn default() -> Self {
-        FlowProgress {
-            last_msg: 0,
-            last_part: 0,
-            seen_any: false,
-            cur_msg: u64::MAX,
-            cur_received: 0,
-            cur_bytes: 0,
-        }
+        FlowProgress { last_msg: 0, last_part: 0, cur_received: 0, cur_bytes: UNSEEN }
+    }
+}
+
+impl FlowProgress {
+    fn seen_any(&self) -> bool {
+        self.cur_received > 0 || self.cur_bytes != UNSEEN
     }
 }
 
@@ -153,24 +167,26 @@ impl Sink {
 
         // In-order check: (msg_id, part) must increase lexicographically
         // within a flow.
-        if fp.seen_any {
+        if fp.seen_any() {
             let ok = (pkt.msg.msg_id, pkt.msg.part) > (fp.last_msg, fp.last_part);
             if !ok {
                 self.stats.out_of_order += 1;
             }
         }
-        fp.seen_any = true;
+        let cur_msg = fp.last_msg;
         fp.last_msg = pkt.msg.msg_id;
         fp.last_part = pkt.msg.part;
 
         // Reassembly. In-order delivery makes messages sequential within
         // a flow; a new msg_id while the previous is incomplete means
-        // packets were lost, which the lossless fabric forbids.
-        if fp.cur_msg != pkt.msg.msg_id {
-            if fp.cur_msg != u64::MAX && fp.cur_received > 0 {
+        // packets were lost, which the lossless fabric forbids. (Id
+        // `u64::MAX` is reserved: it marks "no message", so a message
+        // with that id never counts as broken.)
+        let in_progress = fp.cur_received > 0;
+        if !in_progress || cur_msg != pkt.msg.msg_id {
+            if in_progress && cur_msg != u64::MAX {
                 self.stats.broken_messages += 1;
             }
-            fp.cur_msg = pkt.msg.msg_id;
             fp.cur_received = 0;
             fp.cur_bytes = 0;
         }
@@ -187,7 +203,6 @@ impl Sink {
                 parts: pkt.msg.parts,
                 flow: pkt.flow,
             };
-            fp.cur_msg = u64::MAX;
             fp.cur_received = 0;
             fp.cur_bytes = 0;
             Some(msg)
@@ -314,6 +329,131 @@ mod tests {
         // The fallback table only grew to cover the spilled id, not the
         // banded ranges.
         assert!(s.flows.len() <= 6);
+    }
+
+    /// The reassembly record as it was before `cur_msg` and `seen_any`
+    /// were folded into the other fields: the reference the compact
+    /// [`FlowProgress`] must match.
+    #[derive(Default)]
+    struct WideSink {
+        flows: Vec<WideProgress>,
+        out_of_order: u64,
+        broken_messages: u64,
+    }
+
+    #[derive(Clone, Copy)]
+    struct WideProgress {
+        last_msg: u64,
+        last_part: u32,
+        seen_any: bool,
+        cur_msg: u64,
+        cur_received: u32,
+        cur_bytes: u64,
+    }
+
+    impl WideSink {
+        fn on_packet(&mut self, pkt: &Packet, now: SimTime) -> Option<CompletedMessage> {
+            let idx = pkt.flow.idx();
+            if idx >= self.flows.len() {
+                let fresh = WideProgress {
+                    last_msg: 0,
+                    last_part: 0,
+                    seen_any: false,
+                    cur_msg: u64::MAX,
+                    cur_received: 0,
+                    cur_bytes: 0,
+                };
+                self.flows.resize(idx + 1, fresh);
+            }
+            let fp = &mut self.flows[idx];
+            if fp.seen_any && (pkt.msg.msg_id, pkt.msg.part) <= (fp.last_msg, fp.last_part) {
+                self.out_of_order += 1;
+            }
+            fp.seen_any = true;
+            fp.last_msg = pkt.msg.msg_id;
+            fp.last_part = pkt.msg.part;
+            if fp.cur_msg != pkt.msg.msg_id {
+                if fp.cur_msg != u64::MAX && fp.cur_received > 0 {
+                    self.broken_messages += 1;
+                }
+                fp.cur_msg = pkt.msg.msg_id;
+                fp.cur_received = 0;
+                fp.cur_bytes = 0;
+            }
+            fp.cur_received += 1;
+            fp.cur_bytes += pkt.len as u64;
+            (fp.cur_received == pkt.msg.parts).then(|| {
+                let msg = CompletedMessage {
+                    class: pkt.class,
+                    created_at: pkt.msg.created_at,
+                    completed_at: now,
+                    bytes: fp.cur_bytes,
+                    parts: pkt.msg.parts,
+                    flow: pkt.flow,
+                };
+                fp.cur_msg = u64::MAX;
+                fp.cur_received = 0;
+                fp.cur_bytes = 0;
+                msg
+            })
+        }
+    }
+
+    /// Differential: the compact per-flow record against the wide
+    /// reference on seeded packet sequences — in order, reordered
+    /// (adjacent swaps, within and across flows) and lossy (dropped
+    /// packets, message ids up to the reserved `u64::MAX`) — through
+    /// banded and fallback flows alike. Every completed message and both
+    /// error counters must match.
+    #[test]
+    fn compact_progress_matches_wide_reference() {
+        use dqos_sim_core::SimRng;
+        let mut totals = (0u64, 0u64, 0u64);
+        for seed in 0..36u64 {
+            let mut rng = SimRng::new(0x51C0_0000 + seed);
+            let (reorder_p, drop_p) =
+                [(0.0, 0.0), (0.1, 0.0), (0.0, 0.05), (0.05, 0.05)][seed as usize % 4];
+            // Flows 0..6: 2..4 banded, the rest on the fallback table.
+            let mut next_msg: Vec<u64> = (0..6).map(|f| [0, 7, u64::MAX - 3][f % 3]).collect();
+            let mut pkts = Vec::new();
+            for _ in 0..400 {
+                let f = rng.index(6);
+                let parts = 1 + rng.index(5) as u32;
+                let msg_id = next_msg[f];
+                next_msg[f] = msg_id.wrapping_add(1 + rng.index(2) as u64);
+                for part in 0..parts {
+                    if rng.chance(drop_p) {
+                        continue;
+                    }
+                    let mut p = pkt(f as u32, msg_id, part, parts, 64 + rng.index(2000) as u32);
+                    p.msg.created_at = SimTime::from_ns(rng.range_u64(0, 1_000));
+                    pkts.push(p);
+                }
+            }
+            for i in 1..pkts.len() {
+                if rng.chance(reorder_p) {
+                    pkts.swap(i - 1, i);
+                }
+            }
+            let mut compact = Sink::with_bands(&[(2, 2)]);
+            let mut wide = WideSink::default();
+            for (i, p) in pkts.iter().enumerate() {
+                let now = SimTime::from_ns(i as u64 * 10);
+                let (_, got) = compact.on_packet(p, now);
+                assert_eq!(got, wide.on_packet(p, now), "seed {seed}, packet {i}");
+                totals.0 += got.is_some() as u64;
+            }
+            let st = compact.stats();
+            assert_eq!(
+                (st.out_of_order, st.broken_messages),
+                (wide.out_of_order, wide.broken_messages),
+                "seed {seed}"
+            );
+            totals.1 += st.out_of_order;
+            totals.2 += st.broken_messages;
+        }
+        let (completed, ooo, broken) = totals;
+        assert!(completed > 5_000 && ooo > 100 && broken > 100, "{totals:?}");
     }
 
     #[test]

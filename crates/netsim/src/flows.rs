@@ -3,8 +3,8 @@
 //! This is where the paper's host-side state lives:
 //!
 //! * **Video** flows are admitted individually through the centralised
-//!   [`AdmissionController`], get a reserved route, a
-//!   [`DeadlineMode::FrameSpread`] stamper (10 ms target) and optional
+//!   [`AdmissionController`], get a reserved route,
+//!   [`DeadlineMode::FrameSpread`] deadlines (10 ms target) and optional
 //!   eligible-time smoothing.
 //! * **Control** uses one aggregated record per host with
 //!   [`DeadlineMode::FullLink`] (no admission, maximum priority) and a
@@ -35,10 +35,15 @@
 //!   controller's per-leaf round-robin exactly as the lazy version did —
 //!   but canonically, so the assignment never depends on traffic order.
 //! * **Records are route-free**: a flow stores its path choice (spine
-//!   index) and the interned [`PortPath`] its packets carry; the links
-//!   it reserves, crosses or releases are read from the topology's link
-//!   tables by that choice. No [`dqos_topology::Route`] is built while
-//!   the table is constructed or maintained.
+//!   index); the [`PortPath`] its packets carry and the links it
+//!   reserves, crosses or releases are read from the topology by that
+//!   choice (aggregated pairs also keep their interned path). No
+//!   [`dqos_topology::Route`] is built while the table is constructed or
+//!   maintained.
+//! * **A video record is its register**: 80 000 streams on the paper
+//!   fabric all stamp in one mode, so a [`VideoFlow`] keeps only its
+//!   previous deadline beside its id, destination, choice and
+//!   reservation flag (24 bytes).
 //! * Hot-path reads (stamping, paths, ids) take a per-host mutex or a
 //!   read lock; topology-wide mutation ([`FlowTable::fail_links`] /
 //!   [`FlowTable::restore_links`]) happens only at epoch fences when the
@@ -70,27 +75,32 @@ fn write_locked<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One host's video stream: its stamper and fixed route.
-#[derive(Clone)]
+/// One host's video stream: what differs between a host's streams.
+///
+/// Every video flow stamps in the table's one video mode (frame spread
+/// by default), so the record keeps only its Virtual-Clock register —
+/// the previous packet's deadline — and its route as a path choice: the
+/// packets' [`PortPath`] is `FoldedClos::port_path(src, dst, choice)`.
+#[derive(Debug, Clone, Copy)]
 pub struct VideoFlow {
     /// Flow id (delivery-order domain).
     pub id: FlowId,
     /// Destination host.
     pub dst: HostId,
+    /// Deadline of the stream's previous packet.
+    pub last_deadline: SimTime,
     /// Path choice of the admitted (or fallback) route: the spine index,
     /// or 0 for an intra-leaf pair. `FoldedClos::route(src, dst, choice)`
     /// is the route; the admission ledger reads its links by choice.
     pub choice: u16,
-    /// The route interned to its output ports, stamped into every packet
-    /// of the flow (`Copy`, no per-packet allocation).
-    pub path: PortPath,
-    /// Frame-spread stamper.
-    pub stamper: Stamper,
     /// Whether the route currently holds a bandwidth reservation in the
     /// admission ledger. `false` for admission fallbacks and for flows
     /// rejected during degraded (post-failure) operation.
     pub reserved: bool,
 }
+
+// A widened field must fail the build: the paper fabric keeps 80 000.
+const _: () = assert!(std::mem::size_of::<VideoFlow>() <= 24);
 
 /// What a round of degraded-mode route maintenance did (link failure or
 /// repair): counts accumulated into the run summary.
@@ -176,6 +186,8 @@ pub struct FlowTable {
     /// Per-destination `(first_id, count)` of its video flow-id range.
     video_band: Vec<(u32, u32)>,
     uses_deadlines: bool,
+    /// The deadline mode every video flow stamps in.
+    video_mode: DeadlineMode,
     /// Per-stream video bandwidth, kept for degraded-mode re-admission.
     video_bw: Bandwidth,
 }
@@ -195,6 +207,7 @@ impl Clone for FlowTable {
             dyn_state: Mutex::new(locked(&self.dyn_state).clone()),
             video_band: self.video_band.clone(),
             uses_deadlines: self.uses_deadlines,
+            video_mode: self.video_mode,
             video_bw: self.video_bw,
         }
     }
@@ -250,9 +263,8 @@ impl FlowTable {
                 video.push(VideoFlow {
                     id: FlowId(u32::MAX), // assigned below, (dst, src, stream)-sorted
                     dst,
+                    last_deadline: SimTime::ZERO,
                     choice,
-                    path: net.port_path(src, dst, choice),
-                    stamper: Stamper::new(video_mode),
                     reserved,
                 });
             }
@@ -315,6 +327,7 @@ impl FlowTable {
             dyn_state: Mutex::new(DynState { admission, fallbacks }),
             video_band,
             uses_deadlines: arch.uses_deadlines(),
+            video_mode,
             video_bw: video_stream_bw,
         }
     }
@@ -366,7 +379,6 @@ impl FlowTable {
                         flow.reserved = false;
                     }
                 }
-                flow.path = net.port_path(src, flow.dst, flow.choice);
             }
         }
         let agg = &mut *write_locked(&self.agg);
@@ -408,7 +420,6 @@ impl FlowTable {
                     dyn_state.admission.admit_choice(net, src, flow.dst, self.video_bw)
                 {
                     flow.choice = choice;
-                    flow.path = net.port_path(src, flow.dst, choice);
                     flow.reserved = true;
                     stats.readmitted += 1;
                 }
@@ -508,21 +519,21 @@ impl FlowTable {
         f(&locked(&self.hosts[src.idx()]))
     }
 
-    /// Stamp one message's parts for an aggregated class. Returns `None`
-    /// stamps (zero deadlines) under the Traditional architecture, which
-    /// has no deadline machinery at all.
+    /// Stamp one message's parts for an aggregated class, appending the
+    /// stamps to `out` (a caller's reusable buffer). Zero deadlines (and
+    /// no eligible times) under the Traditional architecture, which has
+    /// no deadline machinery at all.
     pub fn stamp_aggregated(
         &self,
         src: HostId,
         class: TrafficClass,
         now_local: SimTime,
         part_sizes: &[u32],
-    ) -> Vec<StampedTimes> {
+        out: &mut Vec<StampedTimes>,
+    ) {
         if !self.uses_deadlines {
-            return part_sizes
-                .iter()
-                .map(|_| StampedTimes { deadline: SimTime::ZERO, eligible: None })
-                .collect();
+            out.extend(part_sizes.iter().map(|_| UNSTAMPED));
+            return;
         }
         let host = &mut *locked(&self.hosts[src.idx()]);
         let stamper = match class {
@@ -533,12 +544,13 @@ impl FlowTable {
             // per-stream flow; aggregated stamping never sees Multimedia.
             TrafficClass::Multimedia => panic!("video stamps via its stream flow"),
         };
-        stamper.stamp_message(now_local, part_sizes)
+        stamper.stamp_message_into(now_local, part_sizes, out);
     }
 
-    /// Stamp one video frame's parts, applying the eligible-time lead.
-    /// Returns the stream's flow id and interned route alongside the
-    /// stamps (zero deadlines under Traditional, as above).
+    /// Stamp one video frame's parts, applying the eligible-time lead and
+    /// appending the stamps to `out` (zero deadlines under Traditional,
+    /// as above). Returns the stream's flow id, destination and path
+    /// choice; its route is `FoldedClos::port_path(src, dst, choice)`.
     pub fn stamp_video(
         &self,
         src: HostId,
@@ -546,25 +558,29 @@ impl FlowTable {
         now_local: SimTime,
         part_sizes: &[u32],
         eligible_lead: Option<SimDuration>,
-    ) -> (FlowId, PortPath, Vec<StampedTimes>) {
+        out: &mut Vec<StampedTimes>,
+    ) -> (FlowId, HostId, u16) {
         let host = &mut *locked(&self.hosts[src.idx()]);
         let flow = &mut host.video[stream as usize];
         if !self.uses_deadlines {
-            let stamps = part_sizes
-                .iter()
-                .map(|_| StampedTimes { deadline: SimTime::ZERO, eligible: None })
-                .collect();
-            return (flow.id, flow.path, stamps);
-        }
-        let mut stamps = flow.stamper.stamp_message(now_local, part_sizes);
-        if let Some(lead) = eligible_lead {
-            for s in &mut stamps {
-                s.eligible = Some(s.deadline.saturating_sub(lead).max(now_local));
+            out.extend(part_sizes.iter().map(|_| UNSTAMPED));
+        } else {
+            let parts = part_sizes.len() as u32;
+            for &len in part_sizes {
+                let deadline =
+                    self.video_mode.next_deadline(flow.last_deadline, now_local, len, parts);
+                flow.last_deadline = deadline;
+                let eligible =
+                    eligible_lead.map(|lead| deadline.saturating_sub(lead).max(now_local));
+                out.push(StampedTimes { deadline, eligible });
             }
         }
-        (flow.id, flow.path, stamps)
+        (flow.id, flow.dst, flow.choice)
     }
 }
+
+/// What a packet carries when the architecture stamps nothing.
+const UNSTAMPED: StampedTimes = StampedTimes { deadline: SimTime::ZERO, eligible: None };
 
 #[cfg(test)]
 mod tests {
@@ -686,7 +702,6 @@ mod tests {
                     for (s, v) in hf.video.iter().enumerate() {
                         rows.push((v.dst.0, src, s as u32, v.id.0));
                         let route = net.route(HostId(src), v.dst, v.choice);
-                        assert_eq!(v.path, route.port_path(), "stored path is the route's");
                         let expect = match oracle.admit(&net, HostId(src), v.dst, bw) {
                             Ok(adm) => (adm.route, true),
                             Err(_) => {
@@ -763,8 +778,9 @@ mod tests {
     #[test]
     fn control_stamps_at_link_speed() {
         let (_, ft) = table(0);
-        let stamps =
-            ft.stamp_aggregated(HostId(0), TrafficClass::Control, SimTime::from_us(10), &[1000]);
+        let mut stamps = Vec::new();
+        let now = SimTime::from_us(10);
+        ft.stamp_aggregated(HostId(0), TrafficClass::Control, now, &[1000], &mut stamps);
         // 1000 bytes at 8 Gb/s = 1 us.
         assert_eq!(stamps[0].deadline, SimTime::from_us(11));
         assert!(stamps[0].eligible.is_none());
@@ -773,8 +789,9 @@ mod tests {
     #[test]
     fn besteffort_weights_differ() {
         let (_, ft) = table(0);
-        let be = ft.stamp_aggregated(HostId(0), TrafficClass::BestEffort, SimTime::ZERO, &[8000]);
-        let bg = ft.stamp_aggregated(HostId(0), TrafficClass::Background, SimTime::ZERO, &[8000]);
+        let (mut be, mut bg) = (Vec::new(), Vec::new());
+        ft.stamp_aggregated(HostId(0), TrafficClass::BestEffort, SimTime::ZERO, &[8000], &mut be);
+        ft.stamp_aggregated(HostId(0), TrafficClass::Background, SimTime::ZERO, &[8000], &mut bg);
         // Background's record bandwidth is half Best-effort's, so its
         // virtual clock advances twice as fast per byte.
         let be_d = be[0].deadline.as_ns();
@@ -786,8 +803,9 @@ mod tests {
     fn video_stamps_spread_over_target() {
         let (_, ft) = table(1);
         let parts = vec![2048u32; 5];
-        let (_, _, stamps) =
-            ft.stamp_video(HostId(0), 0, SimTime::ZERO, &parts, Some(SimDuration::from_us(20)));
+        let mut stamps = Vec::new();
+        let lead = Some(SimDuration::from_us(20));
+        ft.stamp_video(HostId(0), 0, SimTime::ZERO, &parts, lead, &mut stamps);
         assert_eq!(stamps.len(), 5);
         assert_eq!(stamps[4].deadline, SimTime::from_ms(10));
         assert_eq!(stamps[0].deadline, SimTime::from_ms(2));
@@ -816,7 +834,6 @@ mod tests {
                         );
                     }
                     net.check_route(&route).unwrap();
-                    assert_eq!(flow.path, route.port_path());
                 }
             });
         }
@@ -869,7 +886,6 @@ mod tests {
                 for flow in &hf.video {
                     let route = net.route(HostId(h), flow.dst, flow.choice);
                     net.check_route(&route).unwrap();
-                    assert_eq!(flow.path, route.port_path());
                 }
             });
         }
@@ -924,8 +940,9 @@ mod tests {
             None,
             (0.5, 0.5),
         );
-        let stamps =
-            ft.stamp_aggregated(HostId(0), TrafficClass::Control, SimTime::from_us(9), &[500]);
+        let mut stamps = Vec::new();
+        let now = SimTime::from_us(9);
+        ft.stamp_aggregated(HostId(0), TrafficClass::Control, now, &[500], &mut stamps);
         assert_eq!(stamps[0].deadline, SimTime::ZERO);
         assert!(stamps[0].eligible.is_none());
     }

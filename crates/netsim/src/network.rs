@@ -26,7 +26,7 @@ use dqos_stats::{FaultClassLoss, FaultReport, Report, StageSlack, TraceClassSlac
 use dqos_switch::{Switch, SwitchConfig};
 use dqos_topology::{FoldedClos, HostId, NodeId, Port, SwitchId};
 use dqos_trace::{Trace, Tracer};
-use dqos_traffic::{build_host_sources, SourceNode};
+use dqos_traffic::{build_host_mix, HostSources};
 use std::sync::Arc;
 
 /// Watchdog limit on events processed at a single timestamp (per
@@ -284,7 +284,7 @@ pub struct Network {
     nics: Vec<Nic>,
     sw_clock: Vec<ClockDomain>,
     host_clock: Vec<ClockDomain>,
-    sources: Vec<Vec<SourceNode>>,
+    sources: Vec<HostSources>,
     flows: FlowTable,
     feeder: Vec<Vec<Feeder>>,
     /// (leaf switch, leaf output port) feeding each host's delivery link.
@@ -315,27 +315,19 @@ impl Network {
         let host_clock: Vec<ClockDomain> = (0..n_hosts).map(&mut mk_clock).collect();
         let sw_clock: Vec<ClockDomain> = (0..n_switches).map(&mut mk_clock).collect();
 
-        // Traffic sources (per host). Each source node carries its own
-        // forked stream, so a firing's randomness is a pure function of
-        // which source fired — not of the global event interleaving.
-        let mut sources: Vec<Vec<SourceNode>> = Vec::with_capacity(n_hosts);
-        for h in 0..n_hosts {
-            let mut rng = master.fork(h as u64);
-            let built = build_host_sources(&cfg.mix, HostId(h as u32), topo.n_hosts(), &mut rng);
-            sources.push(
-                built
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, s)| SourceNode::new(s, rng.fork(i as u64)))
-                    .collect(),
-            );
-        }
+        // Traffic sources (per host). Each source carries its own forked
+        // stream, so a firing's randomness is a pure function of which
+        // source fired — not of the global event interleaving.
+        let sources: Vec<HostSources> = (0..n_hosts)
+            .map(|h| {
+                let mut rng = master.fork(h as u64);
+                build_host_mix(&cfg.mix, HostId(h as u32), topo.n_hosts(), &mut rng).bind(&mut rng)
+            })
+            .collect();
 
         // Flow table: admit the video streams to their actual destinations.
-        let video_dsts: Vec<Vec<HostId>> = sources
-            .iter()
-            .map(|srcs| srcs.iter().filter_map(|s| s.source.fixed_dst()).collect())
-            .collect();
+        let video_dsts: Vec<Vec<HostId>> =
+            sources.iter().map(|srcs| srcs.video_dsts().collect()).collect();
         let video_mode = match cfg.video_deadlines {
             crate::config::VideoDeadlines::FrameSpread { target_ns } => {
                 dqos_core::DeadlineMode::FrameSpread { target: SimDuration::from_ns(target_ns) }
@@ -558,7 +550,10 @@ impl Network {
             }
         }
 
-        let flows = self.flows;
+        // One flow-table replica per partition; the last takes the
+        // original rather than a copy.
+        let mut replicas: Vec<FlowTable> = (1..w).map(|_| self.flows.clone()).collect();
+        replicas.push(self.flows);
         let shared = Arc::new(Shared {
             cfg,
             topo: self.topo,
@@ -577,7 +572,8 @@ impl Network {
         });
 
         let mut parts: Vec<Partition> = (0..w)
-            .map(|p| Partition {
+            .zip(replicas)
+            .map(|(p, flows)| Partition {
                 shared: Arc::clone(&shared),
                 part: p,
                 host_ids: Vec::new(),
@@ -587,7 +583,7 @@ impl Network {
                 arena: SoaArena::new(),
                 collector: Collector::new(cfg.window_start(), cfg.window_end()),
                 faults: self.faults.clone(),
-                flows: flows.clone(),
+                flows,
                 link_down: vec![false; n_links],
                 injector: self.faults.injector(),
                 reroute: RerouteStats::default(),
@@ -604,11 +600,13 @@ impl Network {
                 notes: Vec::new(),
                 act_buf: Vec::new(),
                 tok_buf: Vec::new(),
+                part_buf: Vec::new(),
+                stamp_buf: Vec::new(),
             })
             .collect();
         for (h, (nic, srcs)) in self.nics.into_iter().zip(self.sources).enumerate() {
             let p = part_of[h] as usize;
-            let sink = Sink::with_bands(&flows.sink_bands(HostId(h as u32)));
+            let sink = Sink::with_bands(&parts[p].flows.sink_bands(HostId(h as u32)));
             parts[p].host_ids.push(h as u32);
             parts[p].hosts.push(HostState::new(nic, sink, srcs));
         }

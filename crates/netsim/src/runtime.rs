@@ -5,7 +5,7 @@
 //! worlds driven by [`dqos_sim_core::execute`]. Each partition owns the
 //! node models of its hosts and switches — [`dqos_switch::Switch`],
 //! [`dqos_endhost::Nic`], [`dqos_endhost::Sink`] and
-//! [`dqos_traffic::SourceNode`] — plus a private struct-of-arrays
+//! [`dqos_traffic::HostSources`] — plus a private struct-of-arrays
 //! packet arena ([`crate::arena::SoaArena`]), statistics collector,
 //! fault-impairment RNG streams, and its own *replica* of every
 //! epoch-mutated table (flow table, link up/down flags, fault
@@ -79,7 +79,8 @@ use crate::config::SimConfig;
 use crate::error::{SimError, StallSnapshot};
 use crate::flows::{FlowTable, RerouteStats};
 use dqos_core::{
-    ClockDomain, MsgTag, NodeAction, NodeModel, Packet, PktTok, TrafficClass, Vc, NUM_CLASSES,
+    ClockDomain, MsgTag, NodeAction, NodeModel, Packet, PktTok, StampedTimes, TrafficClass, Vc,
+    NUM_CLASSES,
 };
 use dqos_endhost::{Nic, Sink};
 use dqos_faults::{CompiledFaults, FaultInjector};
@@ -87,7 +88,7 @@ use dqos_sim_core::{Outbox, PartWorld, RingMsg, SimDuration, SimTime, SpscRing};
 use dqos_switch::Switch;
 use dqos_topology::{FoldedClos, HostId, LinkId, NodeId, Port, PortPath, SwitchId};
 use dqos_trace::{Event as TraceEvent, EventKind, ModelNote, Tracer};
-use dqos_traffic::{AppMessage, SourceNode};
+use dqos_traffic::{AppMessage, HostSources};
 use std::sync::Arc;
 
 /// A packet on a wire: its 40-byte token when the receiver shares the
@@ -115,7 +116,8 @@ pub(crate) enum WirePkt {
 pub(crate) enum Msg {
     /// A traffic source fires (host node).
     SourceFire {
-        /// Index into the host's source list.
+        /// The source's label in its host's set (see
+        /// [`dqos_traffic::HostMix`]).
         idx: u32,
     },
     /// NIC eligible-time timer.
@@ -337,7 +339,7 @@ pub(crate) struct Shared {
 pub(crate) struct HostState {
     pub(crate) nic: Nic,
     pub(crate) sink: Sink,
-    pub(crate) sources: Vec<SourceNode>,
+    pub(crate) sources: HostSources,
     next_msg_id: u64,
     /// Per-host packet counter; ids are `(host << 40) | counter` so
     /// they are unique and per-flow monotone without global state.
@@ -350,7 +352,7 @@ pub(crate) struct HostState {
 }
 
 impl HostState {
-    pub(crate) fn new(nic: Nic, sink: Sink, sources: Vec<SourceNode>) -> Self {
+    pub(crate) fn new(nic: Nic, sink: Sink, sources: HostSources) -> Self {
         HostState {
             nic,
             sink,
@@ -433,6 +435,10 @@ pub(crate) struct Partition {
     pub(crate) act_buf: Vec<NodeAction>,
     /// Scratch buffer for a message's stamped tokens.
     pub(crate) tok_buf: Vec<PktTok>,
+    /// Scratch buffer for a message's packet lengths.
+    pub(crate) part_buf: Vec<u32>,
+    /// Scratch buffer for a message's deadline stamps.
+    pub(crate) stamp_buf: Vec<StampedTimes>,
 }
 
 impl Partition {
@@ -666,7 +672,7 @@ impl Partition {
         now: SimTime,
         out: &mut Outbox<'_, Msg>,
     ) {
-        let (msg, next) = self.host_mut(host).sources[idx as usize].on_event(now, ());
+        let (msg, next) = self.host_mut(host).sources.fire(idx, now);
         if next <= shared.source_stop {
             let k = self.next_key(host);
             out.send(host, next, k, Msg::SourceFire { idx });
@@ -685,18 +691,26 @@ impl Partition {
         self.offered_messages += 1;
         self.collector.offered(msg.class, msg.bytes, now);
         let src = HostId(host);
-        let parts = dqos_core::segment_message(msg.bytes, shared.cfg.mtu);
+        // Segment and stamp into the partition's scratch buffers: no
+        // allocation per message.
+        let mut parts = std::mem::take(&mut self.part_buf);
+        let mut stamps = std::mem::take(&mut self.stamp_buf);
+        dqos_core::segment_message_into(msg.bytes, shared.cfg.mtu, &mut parts);
         let local = shared.host_clock[host as usize].local(now);
         let lead = shared.cfg.eligible_lead_ns.map(SimDuration::from_ns);
-        // The route is interned to a `Copy` port path once per flow;
+        // The route is a `Copy` port path, read once per message;
         // stamping it into each packet below is a plain field copy.
-        let (flow_id, route, stamps) = match msg.stream {
-            Some(s) => self.flows.stamp_video(src, s, local, &parts, lead),
+        let (flow_id, route) = match msg.stream {
+            Some(s) => {
+                let (id, dst, choice) =
+                    self.flows.stamp_video(src, s, local, &parts, lead, &mut stamps);
+                (id, shared.topo.port_path(src, dst, choice))
+            }
             None => {
                 let route = self.flows.aggregated_path(src, msg.dst);
                 let id = self.flows.aggregated_flow_id(src, msg.dst, msg.class);
-                let stamps = self.flows.stamp_aggregated(src, msg.class, local, &parts);
-                (id, route, stamps)
+                self.flows.stamp_aggregated(src, msg.class, local, &parts, &mut stamps);
+                (id, route)
             }
         };
         let first_out = route
@@ -750,6 +764,10 @@ impl Partition {
             let slot = self.arena.insert(&pkt);
             toks.push(PktTok::of(&pkt, slot, first_out));
         }
+        parts.clear();
+        stamps.clear();
+        self.part_buf = parts;
+        self.stamp_buf = stamps;
         let mut acts = std::mem::take(&mut self.act_buf);
         self.hosts[li].nic.enqueue_batch(&toks, local, &mut acts);
         toks.clear();
@@ -1117,7 +1135,7 @@ impl PartWorld for Partition {
         for hi in 0..self.host_ids.len() {
             let host = self.host_ids[hi];
             for idx in 0..self.hosts[hi].sources.len() {
-                let t = self.hosts[hi].sources[idx].first_arrival();
+                let t = self.hosts[hi].sources.first_arrival(idx as u32);
                 if t <= stop {
                     let k = self.next_key(host);
                     out.send(host, t, k, Msg::SourceFire { idx: idx as u32 });

@@ -15,9 +15,8 @@
 //!   delivered in FIFO order (stable, deterministic tie-breaking).
 //!   [`BinaryHeapQueue`] is the original heap calendar, kept as the
 //!   reference oracle for differential tests and benches.
-//! * [`Engine`] / [`World`] — a minimal driver loop for simulations that
-//!   want one; larger simulations (the full network model in
-//!   `dqos-netsim`) own their loop and use [`EventQueue`] directly.
+//! * [`execute`] / [`PartWorld`] — the driver loop: the serial oracle
+//!   for one partition, the conservative-parallel executor for several.
 //! * [`rng`] / [`dist`] — a seedable, version-stable PRNG
 //!   (xoshiro256\*\*, implemented in-tree — no `rand` dependency) plus
 //!   the distributions the paper's workloads need (exponential, bounded
@@ -32,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod dist;
-pub mod engine;
 pub mod exec;
 pub mod pool;
 pub mod queue;
@@ -53,7 +51,6 @@ pub use dqos_mcheck_rt::tsync;
 #[cfg(not(feature = "mcheck-rt"))]
 const _TSYNC_IS_STD: fn(&tsync::AtomicU64) -> &std::sync::atomic::AtomicU64 = |x| x;
 
-pub use engine::{Engine, World};
 pub use exec::{execute, ExecConfig, ExecEdge, ExecError, ExecResult, Outbox, PartWorld};
 pub use pool::{default_workers, par_map};
 pub use queue::{BinaryHeapQueue, EventQueue, ScheduledEvent};

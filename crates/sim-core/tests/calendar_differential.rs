@@ -7,7 +7,8 @@
 //! the overflow, migration and ring-wrap paths.
 
 use dqos_sim_core::{
-    BinaryHeapQueue, Engine, EventQueue, SimDuration, SimRng, SimTime, World,
+    execute, BinaryHeapQueue, EventQueue, ExecConfig, Outbox, PartWorld, SimDuration, SimRng,
+    SimTime,
 };
 
 /// Drive both calendars through the same mixed schedule/pop workload and
@@ -83,31 +84,51 @@ fn past_scheduling_panics() {
     q.schedule(SimTime::from_us(9), ());
 }
 
+/// One node that re-arms itself every `period`, recording each firing.
 struct Ticker {
     period: SimDuration,
     fired: Vec<SimTime>,
 }
 
-impl World for Ticker {
-    type Event = ();
-    fn handle(&mut self, now: SimTime, _ev: (), q: &mut EventQueue<()>) {
-        self.fired.push(now);
-        q.schedule(now + self.period, ());
+impl PartWorld for Ticker {
+    type Msg = u64;
+    type Err = ();
+    fn seed(&mut self, out: &mut Outbox<'_, u64>) {
+        out.send(0, SimTime::ZERO, 0, 0);
     }
+    fn handle(
+        &mut self,
+        now: SimTime,
+        node: u32,
+        n: u64,
+        out: &mut Outbox<'_, u64>,
+    ) -> Result<(), ()> {
+        self.fired.push(now);
+        out.send(node, now + self.period, n + 1, n + 1);
+        Ok(())
+    }
+    fn on_epoch(&mut self, _idx: usize) {}
 }
 
-/// `Engine::run_until(horizon)` runs events *at* the horizon but nothing
-/// after it — the contract the measurement windows depend on.
+/// The serial executor's horizon runs events *at* the horizon but
+/// nothing after it — the contract the measurement windows depend on.
 #[test]
 fn run_until_is_horizon_inclusive() {
-    let mut e = Engine::new(Ticker { period: SimDuration::from_us(5), fired: vec![] });
-    e.schedule(SimTime::ZERO, ());
-    let stats = e.run_until(SimTime::from_us(20));
-    assert!(!stats.drained);
+    let cfg = ExecConfig {
+        lookahead: SimDuration::from_ns(1),
+        edges: None,
+        ring_words: 64,
+        epochs: vec![],
+        horizon: Some(SimTime::from_us(20)),
+        same_tick_limit: 16,
+        part_of: vec![0],
+    };
+    let res = execute(vec![Ticker { period: SimDuration::from_us(5), fired: vec![] }], cfg);
+    assert!(res.error.is_none());
     assert_eq!(
-        e.world.fired,
+        res.worlds[0].fired,
         (0..=4).map(|i| SimTime::from_us(5 * i)).collect::<Vec<_>>(),
         "events at 0,5,10,15,20us run; the one at 25us must not"
     );
-    assert_eq!(e.queue.peek_time(), Some(SimTime::from_us(25)));
+    assert_eq!(res.events, 5);
 }

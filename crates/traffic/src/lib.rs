@@ -30,7 +30,7 @@ pub mod video;
 
 pub use control::ControlSource;
 pub use hotspot::HotspotSource;
-pub use mix::{build_host_sources, HotspotSpec, MixConfig};
+pub use mix::{build_host_mix, build_host_sources, HostMix, HostSources, HotspotSpec, MixConfig};
 pub use selfsimilar::SelfSimilarSource;
 pub use source::{AppMessage, SourceNode, TrafficSource};
 pub use video::{VideoParams, VideoSource};

@@ -2,10 +2,10 @@
 
 use crate::control::ControlSource;
 use crate::selfsimilar::SelfSimilarSource;
-use crate::source::{random_dst, TrafficSource};
-use crate::video::{VideoParams, VideoSource};
-use dqos_core::TrafficClass;
-use dqos_sim_core::{Bandwidth, SimDuration, SimRng};
+use crate::source::{random_dst, AppMessage, SourceNode, TrafficSource};
+use crate::video::{VideoParams, VideoSource, VideoTable};
+use dqos_core::{NodeModel, TrafficClass};
+use dqos_sim_core::{Bandwidth, SimDuration, SimRng, SimTime};
 use dqos_topology::HostId;
 use std::sync::Arc;
 
@@ -91,22 +91,35 @@ impl MixConfig {
     }
 }
 
+/// The Table-1 source set of one host, before its generators are bound
+/// to their RNG streams: the aggregated classes' generators boxed, the
+/// video streams as destinations on one shared parameter block.
+///
+/// Sources are *labelled* by their position in [`build_host_sources`]'
+/// list — control, the video streams in stream order, best-effort,
+/// background, then the hotspot overlay. A label names the source's
+/// forked RNG stream and its place in the host's seeding order, so both
+/// views of the set draw and schedule identically.
+pub struct HostMix {
+    /// Aggregated generators, in label order.
+    boxed: Vec<Box<dyn TrafficSource>>,
+    /// Label of the first video stream: the boxed generators before it.
+    video_at: usize,
+    /// The shared parameter block and each stream's destination.
+    video: Option<(Arc<VideoParams>, Vec<HostId>)>,
+}
+
 /// Build the Table-1 source set for one host.
 ///
 /// Video destinations are drawn uniformly (excluding the source itself)
-/// with `rng`, so the whole fleet's stream matrix is deterministic per
-/// seed.
-pub fn build_host_sources(
-    cfg: &MixConfig,
-    src: HostId,
-    n_hosts: u32,
-    rng: &mut SimRng,
-) -> Vec<Box<dyn TrafficSource>> {
-    let mut out: Vec<Box<dyn TrafficSource>> = Vec::new();
+/// with `rng`, in stream order, so the whole fleet's stream matrix is
+/// deterministic per seed.
+pub fn build_host_mix(cfg: &MixConfig, src: HostId, n_hosts: u32, rng: &mut SimRng) -> HostMix {
+    let mut boxed: Vec<Box<dyn TrafficSource>> = Vec::new();
     // Control: one Poisson source.
     let control_rate = cfg.class_rate(TrafficClass::Control);
     if control_rate.as_bytes_per_sec() > 0 {
-        out.push(Box::new(ControlSource::new(
+        boxed.push(Box::new(ControlSource::new(
             src,
             n_hosts,
             control_rate,
@@ -114,26 +127,24 @@ pub fn build_host_sources(
             cfg.control_msg_bounds.1,
         )));
     }
-    // Multimedia: one source per admitted stream, all on one shared
-    // parameter block.
+    // Multimedia: one admitted stream per destination draw, all on one
+    // shared parameter block.
+    let video_at = boxed.len();
     let n_streams = cfg.video_streams_per_host();
-    if n_streams > 0 {
+    let video = (n_streams > 0).then(|| {
         let params = VideoParams::new(
             cfg.video_stream_bw,
             cfg.video_frame_period,
             cfg.video_frame_bounds.0,
             cfg.video_frame_bounds.1,
         );
-        for stream in 0..n_streams {
-            let dst = random_dst(src, n_hosts, rng);
-            out.push(Box::new(VideoSource::with_params(dst, stream, Arc::clone(&params))));
-        }
-    }
+        (params, (0..n_streams).map(|_| random_dst(src, n_hosts, rng)).collect())
+    });
     // Best-effort and Background: one ON/OFF source each.
     for class in [TrafficClass::BestEffort, TrafficClass::Background] {
         let rate = cfg.class_rate(class);
         if rate.as_bytes_per_sec() > 0 {
-            out.push(Box::new(SelfSimilarSource::new(
+            boxed.push(Box::new(SelfSimilarSource::new(
                 src,
                 n_hosts,
                 class,
@@ -148,7 +159,7 @@ pub fn build_host_sources(
     // Optional hotspot overlay.
     if let Some(h) = cfg.hotspot {
         if h.dst != src.0 {
-            out.push(Box::new(crate::hotspot::HotspotSource::new(
+            boxed.push(Box::new(crate::hotspot::HotspotSource::new(
                 dqos_topology::HostId(h.dst),
                 h.class,
                 cfg.link_bw.scaled(h.share),
@@ -156,13 +167,127 @@ pub fn build_host_sources(
             )));
         }
     }
-    out
+    HostMix { boxed, video_at, video }
+}
+
+/// Build the Table-1 source set for one host as one boxed generator per
+/// source, in label order (see [`HostMix`]): the boxed view of
+/// [`build_host_mix`].
+pub fn build_host_sources(
+    cfg: &MixConfig,
+    src: HostId,
+    n_hosts: u32,
+    rng: &mut SimRng,
+) -> Vec<Box<dyn TrafficSource>> {
+    build_host_mix(cfg, src, n_hosts, rng).into_boxed()
+}
+
+impl HostMix {
+    /// Every source boxed, in label order: one [`VideoSource`] per
+    /// stream on the shared parameter block.
+    fn into_boxed(self) -> Vec<Box<dyn TrafficSource>> {
+        let mut boxed = self.boxed;
+        if let Some((params, dsts)) = self.video {
+            let streams = dsts.into_iter().enumerate().map(|(s, dst)| {
+                Box::new(VideoSource::with_params(dst, s as u32, Arc::clone(&params)))
+                    as Box<dyn TrafficSource>
+            });
+            boxed.splice(self.video_at..self.video_at, streams);
+        }
+        boxed
+    }
+
+    /// Bind every source to its own stream forked from `rng` by label,
+    /// in label order, keeping the video streams as one table.
+    pub fn bind(self, rng: &mut SimRng) -> HostSources {
+        let mut aggregated = self.boxed.into_iter();
+        let mut nodes = Vec::with_capacity(aggregated.len());
+        let mut label = 0u64;
+        let mut fork = || {
+            label += 1;
+            rng.fork(label - 1)
+        };
+        for s in aggregated.by_ref().take(self.video_at) {
+            nodes.push(SourceNode::new(s, fork()));
+        }
+        let video = self.video.map(|(params, dsts)| {
+            let mut table = VideoTable::new(params, dsts.len());
+            for dst in dsts {
+                table.push(dst, fork());
+            }
+            table
+        });
+        for s in aggregated {
+            nodes.push(SourceNode::new(s, fork()));
+        }
+        HostSources { nodes, video_at: self.video_at as u32, video }
+    }
+}
+
+/// One host's sources bound to their RNG streams: the aggregated
+/// generators as [`SourceNode`]s, the video streams as one table of
+/// compact rows. Sources are addressed by label (see [`HostMix`]).
+pub struct HostSources {
+    /// Aggregated generators, in label order.
+    nodes: Vec<SourceNode>,
+    /// Label of the first video stream.
+    video_at: u32,
+    video: Option<VideoTable>,
+}
+
+impl HostSources {
+    /// Sources (labels `0..len`).
+    pub fn len(&self) -> usize {
+        self.nodes.len() + self.video_streams()
+    }
+
+    /// True if the host has no source.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Video streams (labels `video_at..video_at + video_streams()`).
+    fn video_streams(&self) -> usize {
+        self.video.as_ref().map_or(0, VideoTable::len)
+    }
+
+    /// The video streams' destinations, in stream order.
+    pub fn video_dsts(&self) -> impl Iterator<Item = HostId> + '_ {
+        self.video.iter().flat_map(VideoTable::dsts)
+    }
+
+    /// The table and stream index `label` names, if it names a stream.
+    fn stream(&mut self, label: u32) -> Option<(&mut VideoTable, u32)> {
+        let s = label.checked_sub(self.video_at)?;
+        self.video.as_mut().filter(|t| (s as usize) < t.len()).map(|t| (t, s))
+    }
+
+    /// The generator `label` names, which is not a video stream.
+    fn node(&mut self, label: u32) -> &mut SourceNode {
+        let i = if label < self.video_at { label } else { label - self.video_streams() as u32 };
+        &mut self.nodes[i as usize]
+    }
+
+    /// Source `label`'s first firing time.
+    pub fn first_arrival(&mut self, label: u32) -> SimTime {
+        match self.stream(label) {
+            Some((table, s)) => table.first_arrival(s),
+            None => self.node(label).first_arrival(),
+        }
+    }
+
+    /// Source `label` fires at `now`: its message and next firing time.
+    pub fn fire(&mut self, label: u32, now: SimTime) -> (AppMessage, SimTime) {
+        match self.stream(label) {
+            Some((table, s)) => table.emit(s, now),
+            None => self.node(label).on_event(now, ()),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqos_sim_core::SimTime;
 
     #[test]
     fn paper_mix_dimensions() {
@@ -224,6 +349,47 @@ mod tests {
                 (share - 0.25).abs() < 0.06,
                 "class {i} share {share:.3} (bytes {b})"
             );
+        }
+    }
+
+    /// Differential: a host's sources bound as one video table plus
+    /// boxed aggregated generators emit exactly what one boxed generator
+    /// per source emits, each on the RNG stream forked for its label —
+    /// every source of a paper host (all 625 video streams), four
+    /// firings each, with and without the hotspot overlay after them.
+    #[test]
+    fn video_table_emits_what_boxed_sources_emit() {
+        let mut hotspot = MixConfig::paper(1.0);
+        hotspot.hotspot = Some(HotspotSpec {
+            dst: 0,
+            share: 0.1,
+            class: TrafficClass::BestEffort,
+            msg_bytes: 4096,
+        });
+        for (cfg, n_boxed) in [(MixConfig::paper(1.0), 3), (hotspot, 4)] {
+            let (src, n_hosts) = (HostId(5), 128);
+            let mut rng_a = SimRng::new(0x7AB1E);
+            let mut nodes: Vec<SourceNode> = build_host_sources(&cfg, src, n_hosts, &mut rng_a)
+                .into_iter()
+                .enumerate()
+                .map(|(i, s)| SourceNode::new(s, rng_a.fork(i as u64)))
+                .collect();
+            let mut rng_b = SimRng::new(0x7AB1E);
+            let mut host = build_host_mix(&cfg, src, n_hosts, &mut rng_b).bind(&mut rng_b);
+            assert_eq!(rng_a, rng_b, "both views draw the same destinations and forks");
+            assert_eq!((host.len(), host.video_streams()), (625 + n_boxed, 625));
+            let fixed: Vec<HostId> = nodes.iter().filter_map(|n| n.source.fixed_dst()).collect();
+            assert_eq!(host.video_dsts().collect::<Vec<_>>(), fixed);
+            for (label, node) in nodes.iter_mut().enumerate() {
+                let label = label as u32;
+                let mut t = node.first_arrival();
+                assert_eq!(host.first_arrival(label), t, "label {label}");
+                for _ in 0..4 {
+                    let (msg, next) = node.on_event(t, ());
+                    assert_eq!(host.fire(label, t), (msg, next), "label {label} at {t:?}");
+                    t = next;
+                }
+            }
         }
     }
 

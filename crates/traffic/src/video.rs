@@ -98,6 +98,23 @@ impl VideoParams {
             max_frame,
         })
     }
+
+    /// A stream's start: its GoP position and first firing time — a
+    /// random GoP start and a random phase within one period, so streams
+    /// (and their I frames) de-synchronise.
+    fn start(&self, rng: &mut SimRng) -> (u8, SimTime) {
+        let gop_pos = rng.index(GOP.len()) as u8;
+        (gop_pos, SimTime::from_ns(rng.range_u64(0, self.frame_period.as_ns() - 1)))
+    }
+
+    /// The size of the frame at GoP slot `gop_pos`, which advances to
+    /// the next slot. Every stream representation draws its frames here.
+    fn frame_bytes(&self, gop_pos: &mut u8, rng: &mut SimRng) -> u64 {
+        let mean = self.slot_means[*gop_pos as usize];
+        *gop_pos = ((*gop_pos as usize + 1) % GOP.len()) as u8;
+        let size = (mean * self.jitter.sample(rng)) as u64;
+        size.clamp(self.min_frame, self.max_frame)
+    }
 }
 
 /// One MPEG-4 stream.
@@ -106,7 +123,7 @@ pub struct VideoSource {
     params: Arc<VideoParams>,
     dst: HostId,
     stream: u32,
-    gop_pos: usize,
+    gop_pos: u8,
 }
 
 impl VideoSource {
@@ -148,25 +165,90 @@ impl TrafficSource for VideoSource {
     }
 
     fn first_arrival(&mut self, rng: &mut SimRng) -> SimTime {
-        // Random phase within one period, and a random GoP start, so
-        // streams (and their I frames) de-synchronise.
-        self.gop_pos = rng.index(GOP.len());
-        SimTime::from_ns(rng.range_u64(0, self.params.frame_period.as_ns() - 1))
+        let (gop_pos, at) = self.params.start(rng);
+        self.gop_pos = gop_pos;
+        at
     }
 
     fn emit(&mut self, now: SimTime, rng: &mut SimRng) -> (AppMessage, SimTime) {
-        let p = &*self.params;
-        let mean = p.slot_means[self.gop_pos];
-        self.gop_pos = (self.gop_pos + 1) % GOP.len();
-        let size = (mean * p.jitter.sample(rng)) as u64;
-        let bytes = size.clamp(p.min_frame, p.max_frame);
+        let bytes = self.params.frame_bytes(&mut self.gop_pos, rng);
         let msg = AppMessage {
             dst: self.dst,
             class: TrafficClass::Multimedia,
             bytes,
             stream: Some(self.stream),
         };
-        (msg, now + p.frame_period)
+        (msg, now + self.params.frame_period)
+    }
+}
+
+/// One stream of a [`VideoTable`]: what differs between a host's
+/// streams — the private RNG stream, destination and GoP position. The
+/// stream index is the row's position.
+#[derive(Debug, Clone)]
+struct VideoRow {
+    rng: SimRng,
+    dst: HostId,
+    gop_pos: u8,
+}
+
+// A widened row field must fail the build: the paper fabric keeps 80 000.
+const _: () = assert!(std::mem::size_of::<VideoRow>() <= 40);
+
+/// All video streams of one host as one table of compact rows on the
+/// host's shared [`VideoParams`], each row bound to its own forked RNG
+/// stream. Emits exactly what a [`VideoSource`] per stream, each driven
+/// by the same RNG stream, emits — the frames come from the same draw —
+/// without a boxed generator per stream.
+#[derive(Debug, Clone)]
+pub(crate) struct VideoTable {
+    params: Arc<VideoParams>,
+    rows: Vec<VideoRow>,
+}
+
+impl VideoTable {
+    /// A table over `params` with no streams yet.
+    pub(crate) fn new(params: Arc<VideoParams>, capacity: usize) -> Self {
+        VideoTable { params, rows: Vec::with_capacity(capacity) }
+    }
+
+    /// Append the next stream (index [`VideoTable::len`]) to `dst`,
+    /// drawing its randomness from `rng`.
+    pub(crate) fn push(&mut self, dst: HostId, rng: SimRng) {
+        self.rows.push(VideoRow { rng, dst, gop_pos: 0 });
+    }
+
+    /// Streams in the table.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Destinations, in stream order.
+    pub(crate) fn dsts(&self) -> impl Iterator<Item = HostId> + '_ {
+        self.rows.iter().map(|r| r.dst)
+    }
+
+    /// Stream `stream`'s first firing time (see
+    /// [`TrafficSource::first_arrival`]).
+    pub(crate) fn first_arrival(&mut self, stream: u32) -> SimTime {
+        let row = &mut self.rows[stream as usize];
+        let (gop_pos, at) = self.params.start(&mut row.rng);
+        row.gop_pos = gop_pos;
+        at
+    }
+
+    /// Stream `stream` fires at `now`: its frame and next firing time
+    /// (see [`TrafficSource::emit`]).
+    pub(crate) fn emit(&mut self, stream: u32, now: SimTime) -> (AppMessage, SimTime) {
+        let row = &mut self.rows[stream as usize];
+        let bytes = self.params.frame_bytes(&mut row.gop_pos, &mut row.rng);
+        let msg = AppMessage {
+            dst: row.dst,
+            class: TrafficClass::Multimedia,
+            bytes,
+            stream: Some(stream),
+        };
+        (msg, now + self.params.frame_period)
     }
 }
 

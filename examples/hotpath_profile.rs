@@ -14,11 +14,14 @@
 //!   spots were found in the first place;
 //! * **memory**: an untraced run of the same config, made first so the
 //!   recorder's buffers do not count — peak packets in flight, resident
-//!   set after set-up, the process's `VmHWM` after the run, and the heap
-//!   each in-flight packet costs, `(VmHWM − set-up RSS) / peak in
-//!   flight` (Linux `/proc/self/status`; reported unavailable
-//!   elsewhere). Deep NIC backlogs are what a loaded run holds, so this
-//!   is the figure a footprint regression moves (DESIGN.md §10.6).
+//!   set after set-up, what set-up costs per video stream, `(set-up RSS
+//!   − RSS before set-up) / video streams`, the process's `VmHWM` after
+//!   the run, and the heap each in-flight packet costs, `(VmHWM − set-up
+//!   RSS) / peak in flight` (Linux `/proc/self/status`; reported
+//!   unavailable elsewhere). Per-stream records are most of a paper
+//!   fabric's set-up and deep NIC backlogs are what a loaded run holds,
+//!   so these are the figures a footprint regression moves (DESIGN.md
+//!   §10.6).
 //!
 //! ```text
 //! cargo run --release --example hotpath_profile [hosts] [load] [arch]
@@ -46,8 +49,10 @@ fn status_mib(key: &str) -> Option<f64> {
 /// process's memory went.
 fn footprint(mut cfg: SimConfig) {
     cfg.trace = TraceSettings::OFF;
+    let before = status_mib("VmRSS");
     let net = Network::new(cfg);
     let setup = status_mib("VmRSS");
+    let streams = cfg.mix.video_streams_per_host() as u64 * cfg.topology.n_hosts() as u64;
     let (_, summary) = net.run();
     let hwm = status_mib("VmHWM");
     println!("== memory (untraced run) ==");
@@ -56,11 +61,15 @@ fn footprint(mut cfg: SimConfig) {
         summary.peak_in_flight,
         if cfg.workers > 1 { "largest partition" } else { "whole run" }
     );
-    let (Some(setup), Some(hwm)) = (setup, hwm) else {
+    let (Some(before), Some(setup), Some(hwm)) = (before, setup, hwm) else {
         println!("  VmRSS / VmHWM          unavailable (no /proc/self/status)\n");
         return;
     };
     println!("  VmRSS after set-up     {setup:>10.1} MiB");
+    println!(
+        "  per video stream       {:>10.0} B    ((set-up RSS - RSS before set-up) / {streams} streams)",
+        (setup - before).max(0.0) * 1024.0 * 1024.0 / streams.max(1) as f64
+    );
     println!("  VmHWM after run        {hwm:>10.1} MiB");
     let grown = (hwm - setup).max(0.0) * 1024.0 * 1024.0;
     println!(

@@ -46,8 +46,8 @@
 #   7. hotpath_profile example: the self-profiling where-ticks-go table
 #      (slack attribution pointed at the simulator) and the memory
 #      footprint of an untraced run (peak packets in flight, VmHWM,
-#      bytes per in-flight packet), so a footprint regression shows in
-#      every gate run. Non-gating — its output is diagnostic, so a
+#      set-up bytes per video stream, bytes per in-flight packet), so a
+#      footprint regression shows in every gate run. Non-gating — its output is diagnostic, so a
 #      failure warns instead of failing.
 #   8. mcheck: bounded-exhaustive concurrency exploration of the
 #      *production* ring/exec protocols under the dqos-mcheck-rt
