@@ -9,11 +9,12 @@
 //! fields (message tag, flow id, destination) stay out of the cache
 //! until delivery reassembles the packet.
 //!
-//! The arena keeps only what the token does not carry: class, length,
-//! deadline and hop come back from the token at [`SoaArena::take`], the
-//! source host is the top bits of the packet id (ids are
-//! `(src << PKT_ID_HOST_SHIFT) | counter`), and the injection time is
-//! not kept at all (nothing reads it). That is 46 bytes per slot.
+//! The arena keeps only what the token does not carry: id, class,
+//! length, deadline and hop come back from the token at
+//! [`SoaArena::take`], the source host is the top bits of the packet id
+//! (ids are `(src << PKT_ID_HOST_SHIFT) | counter`), and the injection
+//! time is not kept at all (nothing reads it). That is 38 bytes per
+//! slot.
 //!
 //! Occupancy and the corruption flag share a one-byte state lane: both
 //! are written on rare paths (insert/take, fault rolls) but checking
@@ -22,8 +23,9 @@
 //! Storage grows one fixed page at a time, never by doubling, so a deep
 //! run holds at most one partly used page beyond its live packets and
 //! never a second copy during a reallocation. Vacant slots are threaded
-//! into a LIFO free list through their cold lane (reuse keeps the
-//! working set hot), and a new slot is minted only when that list is
+//! into a LIFO free list through their cold lane's message-id word
+//! (reuse keeps the working set hot), and a new slot is minted only
+//! when that list is
 //! empty — so the slots minted are exactly the run's peak residency,
 //! which [`SoaArena::high_water`] reports.
 
@@ -36,7 +38,7 @@ use dqos_topology::{HostId, Port, PortPath};
 pub(crate) const PKT_ID_HOST_SHIFT: u32 = 40;
 
 const PAGE_SHIFT: u32 = 10;
-/// Slots per page (a page is ≈46 KiB).
+/// Slots per page (a page is ≈38 KiB).
 pub(crate) const PAGE_SLOTS: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u32 = PAGE_SLOTS as u32 - 1;
 
@@ -50,16 +52,20 @@ const CORRUPTED: u8 = 1 << 1;
 /// Cold per-packet fields: what neither the token nor the packet id
 /// carries and the forwarding path never reads. Written at
 /// [`SoaArena::insert`], read back at [`SoaArena::take`]. A vacant
-/// slot's `id` holds the next free slot instead.
+/// slot's `msg.msg_id` holds the next free slot instead.
 #[derive(Debug, Clone, Copy)]
 struct ColdSlot {
-    id: u64,
     flow: FlowId,
     dst: HostId,
     msg: MsgTag,
 }
 
-/// One fixed-size page of slots, lane by lane.
+// A widened cold slot must fail the build: a loaded paper fabric keeps
+// ≈10⁵ of them.
+const _: () = assert!(std::mem::size_of::<ColdSlot>() <= 32);
+
+/// One fixed-size page of slots, lane by lane (38 bytes per slot in
+/// release builds).
 #[derive(Debug)]
 struct Page {
     /// Hot lane: the interned route, read once per switch hop to pick
@@ -69,20 +75,26 @@ struct Page {
     state: [u8; PAGE_SLOTS],
     /// Cold lane: stats-only fields, touched at insert/take only.
     cold: [ColdSlot; PAGE_SLOTS],
+    /// Debug builds only: the resident packet's id, so a stale or
+    /// duplicated token whose slot was reused is caught at `take`
+    /// instead of rebuilding another packet under its own id.
+    #[cfg(debug_assertions)]
+    ids: [u64; PAGE_SLOTS],
 }
 
 impl Page {
     fn new() -> Box<Self> {
         let vacant = ColdSlot {
-            id: NIL as u64,
             flow: FlowId(0),
             dst: HostId(0),
-            msg: MsgTag { msg_id: 0, part: 0, parts: 0, created_at: SimTime::ZERO },
+            msg: MsgTag { msg_id: NIL as u64, part: 0, parts: 0, created_at: SimTime::ZERO },
         };
         Box::new(Page {
             route: [PortPath::new(&[Port(0)]); PAGE_SLOTS],
             state: [0; PAGE_SLOTS],
             cold: [vacant; PAGE_SLOTS],
+            #[cfg(debug_assertions)]
+            ids: [0; PAGE_SLOTS],
         })
     }
 }
@@ -124,7 +136,7 @@ impl SoaArena {
             let slot = self.free;
             let (p, i) = split(slot);
             debug_assert_eq!(self.pages[p].state[i] & OCCUPIED, 0, "free list held a live slot");
-            self.free = self.pages[p].cold[i].id as u32;
+            self.free = self.pages[p].cold[i].msg.msg_id as u32;
             slot
         } else {
             let slot = self.minted;
@@ -138,15 +150,20 @@ impl SoaArena {
         let page = &mut self.pages[p];
         page.route[i] = pkt.route;
         page.state[i] = OCCUPIED | if pkt.corrupted { CORRUPTED } else { 0 };
-        page.cold[i] = ColdSlot { id: pkt.id, flow: pkt.flow, dst: pkt.dst, msg: pkt.msg };
+        page.cold[i] = ColdSlot { flow: pkt.flow, dst: pkt.dst, msg: pkt.msg };
+        #[cfg(debug_assertions)]
+        {
+            page.ids[i] = pkt.id;
+        }
         self.live += 1;
         slot
     }
 
     /// Reassemble the packet `tok` stands for and vacate its slot.
     ///
-    /// Class, length, deadline and hop come from the token (the deadline
-    /// is therefore the TTD-re-encoded one of whichever node holds it);
+    /// Id, class, length, deadline and hop come from the token (the
+    /// deadline is therefore the TTD-re-encoded one of whichever node
+    /// holds it);
     /// `eligible` is `None` (meaningless after injection) and
     /// `injected_at` is [`SimTime::ZERO`] (not kept).
     ///
@@ -162,16 +179,17 @@ impl SoaArena {
         let page = &mut self.pages[p];
         let corrupted = page.state[i] & CORRUPTED != 0;
         page.state[i] = 0;
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(page.ids[i], tok.id, "token does not own this slot");
         let c = page.cold[i];
-        debug_assert_eq!(c.id, tok.id, "token does not own this slot");
-        page.cold[i].id = self.free as u64;
+        page.cold[i].msg.msg_id = self.free as u64;
         self.free = slot;
         self.live -= 1;
         Packet {
-            id: c.id,
+            id: tok.id,
             flow: c.flow,
             class: tok.class,
-            src: HostId((c.id >> PKT_ID_HOST_SHIFT) as u32),
+            src: HostId((tok.id >> PKT_ID_HOST_SHIFT) as u32),
             dst: c.dst,
             len: tok.len,
             deadline: tok.deadline,
@@ -373,6 +391,18 @@ mod tests {
         let last = toks[PAGE_SLOTS + 1];
         a.take(&last);
         a.take(&last);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "token does not own this slot")]
+    fn stale_token_on_a_reused_slot_panics_in_debug_builds() {
+        let mut a = SoaArena::new();
+        let stale = park(&mut a, 0);
+        a.take(&stale);
+        let next = park(&mut a, 1);
+        assert_eq!(next.slot, stale.slot);
+        a.take(&stale);
     }
 
     #[test]

@@ -4,9 +4,69 @@ use dqos_core::{FlowId, TrafficClass, NUM_CLASSES};
 use dqos_sim_core::SimTime;
 use dqos_stats::{ClassStats, JitterTracker, Report};
 
-/// One flow's jitter slot: its class and tracker, once it has completed
-/// a message in the window.
-type JitterSlot = Option<(TrafficClass, JitterTracker)>;
+/// One flow's jitter state: [`JitterTracker::record`]'s arithmetic, in
+/// the same f64 operations and order, kept in 40 bytes (a tracker is 80
+/// — its `u128` |Δ| sum aligns it to 16 — and a paper fabric has
+/// ≈129 k flow ids). Vacant while `n == 0`; the consecutive-|Δ| count
+/// is `n − 1`. The tracker itself is built only at
+/// [`Collector::finish`].
+#[derive(Debug, Clone, Copy, Default)]
+struct JitterSlot {
+    /// Latest latency, ns.
+    last: u64,
+    /// Sum of |Δ| between consecutive latencies, ns.
+    abs_diff_sum: u64,
+    /// Welford running mean and sum of squared deviations.
+    mean: f64,
+    m2: f64,
+    /// Samples recorded.
+    n: u32,
+    /// `TrafficClass::idx()` of the flow.
+    class: u8,
+}
+
+// A widened slot must fail the build (see `JitterSlot`).
+const _: () = assert!(std::mem::size_of::<JitterSlot>() <= 40);
+
+impl JitterSlot {
+    /// [`JitterTracker::record`] for a flow of `class`.
+    #[inline]
+    fn record(&mut self, class: TrafficClass, latency_ns: u64) {
+        if self.n == 0 {
+            self.class = class.idx() as u8;
+        } else {
+            // A u64 sum of |Δ| overflows only after ~2³² samples of
+            // ~4 s latency swings; refuse rather than wrap.
+            let (sum, overflow) =
+                self.abs_diff_sum.overflowing_add(self.last.abs_diff(latency_ns));
+            assert!(!overflow, "per-flow jitter |Δ| sum overflowed u64");
+            self.abs_diff_sum = sum;
+        }
+        self.last = latency_ns;
+        assert!(self.n < u32::MAX, "per-flow jitter sample count overflowed u32");
+        self.n += 1;
+        let x = latency_ns as f64;
+        let d = x - self.mean;
+        self.mean += d / self.n as f64;
+        self.m2 += d * (x - self.mean);
+    }
+
+    /// The flow's class and tracker, if it recorded anything.
+    fn tracker(&self) -> Option<(TrafficClass, JitterTracker)> {
+        (self.n > 0).then(|| {
+            let n = self.n as u64;
+            let t = JitterTracker::from_parts(
+                Some(self.last),
+                self.abs_diff_sum as u128,
+                n - 1,
+                n,
+                self.mean,
+                self.m2,
+            );
+            (TrafficClass::from_idx(self.class as usize), t)
+        })
+    }
+}
 
 /// Flow ids per page of jitter slots.
 const JITTER_PAGE: usize = 512;
@@ -90,21 +150,20 @@ impl Collector {
             self.flow_jitter.resize_with(page + 1, || None);
         }
         self.flow_jitter[page]
-            .get_or_insert_with(|| vec![None; JITTER_PAGE].into_boxed_slice())[i]
-            .get_or_insert_with(|| (class, JitterTracker::new()))
-            .1
-            .record(lat);
+            .get_or_insert_with(|| vec![JitterSlot::default(); JITTER_PAGE].into_boxed_slice())[i]
+            .record(class, lat);
     }
 
     /// Fold another collector (a parallel partition's) into this one.
     ///
     /// Class histograms and meters are integer accumulators, so the sum
     /// over partitions equals the serial totals exactly. Per-flow jitter
-    /// trackers keep their slot (flow ids are global): each flow is
+    /// slots keep their place (flow ids are global): each flow is
     /// terminated by exactly one host, hence one partition, so slots
-    /// never collide and the merged pages hold exactly the serial
-    /// trackers — [`Collector::finish`] then folds them in the same
-    /// flow-id order, reproducing the serial report bit for bit.
+    /// never collide (a collision panics) and the merged pages hold
+    /// exactly the serial slots — [`Collector::finish`] then folds them
+    /// in the same flow-id order, reproducing the serial report bit for
+    /// bit.
     pub fn merge(&mut self, other: Collector) {
         debug_assert!(self.start == other.start && self.end == other.end, "same window");
         for (a, b) in self.classes.iter_mut().zip(&other.classes) {
@@ -119,12 +178,10 @@ impl Collector {
                 *mine = Some(theirs);
                 continue;
             };
-            for (slot, entry) in mine.iter_mut().zip(theirs.into_vec()) {
-                if let Some((class, tracker)) = entry {
-                    match slot {
-                        Some((_, t)) => t.merge(&tracker),
-                        None => *slot = Some((class, tracker)),
-                    }
+            for (slot, entry) in mine.iter_mut().zip(theirs.iter()) {
+                if entry.n > 0 {
+                    assert_eq!(slot.n, 0, "a flow completed messages in two partitions");
+                    *slot = *entry;
                 }
             }
         }
@@ -133,9 +190,10 @@ impl Collector {
     /// Finish: merge per-flow jitter into class aggregates and render the
     /// report.
     pub fn finish(mut self, architecture: &str, load: f64) -> Report {
-        let slots = self.flow_jitter.into_iter().flatten().flat_map(|page| page.into_vec());
-        for (class, tracker) in slots.flatten() {
-            self.classes[class.idx()].jitter.merge(&tracker);
+        for page in self.flow_jitter.iter().flatten() {
+            for (class, tracker) in page.iter().filter_map(JitterSlot::tracker) {
+                self.classes[class.idx()].jitter.merge(&tracker);
+            }
         }
         Report {
             architecture: architecture.to_string(),
@@ -220,6 +278,39 @@ mod tests {
         }
         b.merge(a);
         assert_eq!(b.finish("x", 1.0).to_json(), one.finish("x", 1.0).to_json());
+    }
+
+    /// The compact slot records with the tracker's arithmetic: over
+    /// seeded latency streams (short and long, narrow and wide swings)
+    /// the tracker it builds matches one fed the same stream, bit for
+    /// bit on mean and m2 (the JSON form prints floats round-trip) and
+    /// on every derived figure.
+    #[test]
+    fn compact_slot_matches_the_tracker_bitwise() {
+        let mut rng = dqos_sim_core::SimRng::new(0x5107);
+        for stream in 0..200u64 {
+            let class = TrafficClass::ALL[stream as usize % NUM_CLASSES];
+            let n = rng.range_u64(1, 600);
+            let base = rng.range_u64(0, 40_000_000);
+            let swing = [1_000, 250_000, 30_000_000][stream as usize % 3];
+            let mut slot = JitterSlot::default();
+            let mut reference = JitterTracker::new();
+            for _ in 0..n {
+                let lat = base + rng.range_u64(0, swing);
+                slot.record(class, lat);
+                reference.record(lat);
+            }
+            let (c, built) = slot.tracker().expect("a recorded slot yields a tracker");
+            assert_eq!(c, class);
+            assert_eq!(
+                built.to_json().to_string_compact(),
+                reference.to_json().to_string_compact(),
+                "stream {stream}"
+            );
+            assert_eq!(built.std_dev().to_bits(), reference.std_dev().to_bits());
+            assert_eq!(built.mean_abs_delta().to_bits(), reference.mean_abs_delta().to_bits());
+        }
+        assert!(JitterSlot::default().tracker().is_none(), "a vacant slot yields nothing");
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //! fixed route, so the appendix's in-order guarantee applies to it) and
 //! one per video stream.
 //!
-//! ## Layout and synchronisation
+//! ## Layout and replication
 //!
-//! The table is built for the partitioned runtime, which shares one
-//! `FlowTable` across worker threads:
+//! The table is built for the partitioned runtime, in which every
+//! partition owns a replica (see `crate::runtime`):
 //!
 //! * **Flow ids are static arithmetic**, not handed out on first use:
 //!   video streams take `[0, V)` ordered by `(dst, src, stream)`, and
@@ -44,10 +44,11 @@
 //!   fabric all stamp in one mode, so a [`VideoFlow`] keeps only its
 //!   previous deadline beside its id, destination, choice and
 //!   reservation flag (24 bytes).
-//! * Hot-path reads (stamping, paths, ids) take a per-host mutex or a
-//!   read lock; topology-wide mutation ([`FlowTable::fail_links`] /
-//!   [`FlowTable::restore_links`]) happens only at epoch fences when the
-//!   executor has every partition quiescent.
+//! * **No locks.** A replica is touched only by its own partition's
+//!   worker, so the table is plain data: stamping takes `&mut self`,
+//!   paths and ids are plain reads, and topology-wide mutation
+//!   ([`FlowTable::fail_links`] / [`FlowTable::restore_links`]) runs on
+//!   each replica at the same epoch of its local timeline.
 
 use dqos_core::{
     AdmissionController, Architecture, DeadlineMode, FlowId, Stamper, StampedTimes, TrafficClass,
@@ -55,25 +56,6 @@ use dqos_core::{
 };
 use dqos_sim_core::{Bandwidth, SimDuration, SimTime};
 use dqos_topology::{FoldedClos, HostId, LinkId, PortPath};
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// Lock a mutex, recovering the guard from poisoning. A poisoned lock
-/// means a worker thread panicked; the parallel executor's stop guard
-/// has already latched the failure and will re-raise it on join, so the
-/// flow state behind the lock is still safe to read on the way out.
-fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// [`locked`], for `RwLock` readers.
-fn read_locked<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// [`locked`], for `RwLock` writers.
-fn write_locked<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// One host's video stream: what differs between a host's streams.
 ///
@@ -147,7 +129,7 @@ pub struct AdmissionDiag {
     pub fallbacks: u32,
 }
 
-/// Per-host flow state (behind a per-host mutex).
+/// Per-host flow state.
 #[derive(Clone)]
 pub struct HostFlows {
     /// Per-stream video flows, indexed by stream id.
@@ -158,31 +140,24 @@ pub struct HostFlows {
     pub best_effort: [Stamper; 2],
 }
 
-/// Admission ledger plus the counters that move with it.
+/// The fleet's flow table (module docs). Cloning it makes a replica:
+/// the free-running executor gives every partition its own (epoch
+/// mutations — link failures and repairs — are deterministic functions
+/// of the plan and the ledger, so replicas that apply the same epochs
+/// stay identical).
 #[derive(Clone)]
-struct DynState {
-    admission: AdmissionController,
-    fallbacks: u32,
-}
-
-/// All-pairs aggregated routes as `(choice, path)`, `src * n + dst`
-/// indexed (`None` on the diagonal — hosts never send to themselves).
-#[derive(Clone)]
-struct AggTable {
-    pairs: Vec<Option<(u16, PortPath)>>,
-}
-
-/// The fleet's flow table. Internally synchronised: stamping takes the
-/// source host's mutex, path/id lookups a read lock or no lock at all,
-/// and degraded-mode maintenance locks whatever it touches (it only
-/// runs at epoch fences, with every partition quiescent).
 pub struct FlowTable {
     n_hosts: u32,
     /// Total video streams; aggregated ids start here.
     video_total: u32,
-    hosts: Vec<Mutex<HostFlows>>,
-    agg: RwLock<AggTable>,
-    dyn_state: Mutex<DynState>,
+    hosts: Vec<HostFlows>,
+    /// All-pairs aggregated routes as `(choice, path)`, `src * n + dst`
+    /// indexed (`None` on the diagonal — hosts never send to
+    /// themselves).
+    agg_pairs: Vec<Option<(u16, PortPath)>>,
+    admission: AdmissionController,
+    /// Admissions that fell back to unregulated paths (cumulative).
+    fallbacks: u32,
     /// Per-destination `(first_id, count)` of its video flow-id range.
     video_band: Vec<(u32, u32)>,
     uses_deadlines: bool,
@@ -190,27 +165,6 @@ pub struct FlowTable {
     video_mode: DeadlineMode,
     /// Per-stream video bandwidth, kept for degraded-mode re-admission.
     video_bw: Bandwidth,
-}
-
-/// Replicate the table. The free-running executor gives every
-/// partition its own `FlowTable` replica (epoch mutations — link
-/// failures and repairs — are deterministic functions of the plan and
-/// the ledger, so replicas that apply the same epochs stay identical);
-/// cloning locks each interior cell just long enough to copy it.
-impl Clone for FlowTable {
-    fn clone(&self) -> Self {
-        FlowTable {
-            n_hosts: self.n_hosts,
-            video_total: self.video_total,
-            hosts: self.hosts.iter().map(|h| Mutex::new(locked(h).clone())).collect(),
-            agg: RwLock::new(read_locked(&self.agg).clone()),
-            dyn_state: Mutex::new(locked(&self.dyn_state).clone()),
-            video_band: self.video_band.clone(),
-            uses_deadlines: self.uses_deadlines,
-            video_mode: self.video_mode,
-            video_bw: self.video_bw,
-        }
-    }
 }
 
 /// Position of a class inside a (src, dst) aggregated id triple.
@@ -322,9 +276,10 @@ impl FlowTable {
         FlowTable {
             n_hosts,
             video_total,
-            hosts: hosts.into_iter().map(Mutex::new).collect(),
-            agg: RwLock::new(AggTable { pairs }),
-            dyn_state: Mutex::new(DynState { admission, fallbacks }),
+            hosts,
+            agg_pairs: pairs,
+            admission,
+            fallbacks,
             video_band,
             uses_deadlines: arch.uses_deadlines(),
             video_mode,
@@ -342,17 +297,15 @@ impl FlowTable {
     /// Aggregated routes crossing a failed link are re-assigned over
     /// surviving spines, in src-major order.
     ///
-    /// Only called at epoch fences (all partitions quiescent).
-    pub fn fail_links(&self, net: &FoldedClos, links: &[LinkId]) -> RerouteStats {
-        let dyn_state = &mut *locked(&self.dyn_state);
-        let admission = &mut dyn_state.admission;
+    /// Called at epoch fences, on every replica.
+    pub fn fail_links(&mut self, net: &FoldedClos, links: &[LinkId]) -> RerouteStats {
+        let admission = &mut self.admission;
         for &l in links {
             admission.fail_link(l);
         }
         let mut stats = RerouteStats::default();
-        for (h, host) in self.hosts.iter().enumerate() {
+        for (h, host) in self.hosts.iter_mut().enumerate() {
             let src = HostId(h as u32);
-            let host = &mut *locked(host);
             for flow in &mut host.video {
                 if admission.path_is_up(net, src, flow.dst, flow.choice) {
                     continue;
@@ -374,15 +327,14 @@ impl FlowTable {
                         flow.choice = admission.assign_unregulated_choice(net, src, flow.dst);
                         if flow.reserved {
                             stats.rejected += 1;
-                            dyn_state.fallbacks += 1;
+                            self.fallbacks += 1;
                         }
                         flow.reserved = false;
                     }
                 }
             }
         }
-        let agg = &mut *write_locked(&self.agg);
-        for (i, pair) in agg.pairs.iter_mut().enumerate() {
+        for (i, pair) in self.agg_pairs.iter_mut().enumerate() {
             let Some((choice, path)) = pair else { continue };
             let src = HostId((i as u32) / self.n_hosts);
             let dst = HostId((i as u32) % self.n_hosts);
@@ -402,22 +354,19 @@ impl FlowTable {
     /// routing means a repair must not shuffle working flows, and
     /// aggregated routes likewise stay where failure put them.
     ///
-    /// Only called at epoch fences (all partitions quiescent).
-    pub fn restore_links(&self, net: &FoldedClos, links: &[LinkId]) -> RerouteStats {
-        let dyn_state = &mut *locked(&self.dyn_state);
+    /// Called at epoch fences, on every replica.
+    pub fn restore_links(&mut self, net: &FoldedClos, links: &[LinkId]) -> RerouteStats {
         for &l in links {
-            dyn_state.admission.restore_link(l);
+            self.admission.restore_link(l);
         }
         let mut stats = RerouteStats::default();
-        for (h, host) in self.hosts.iter().enumerate() {
+        for (h, host) in self.hosts.iter_mut().enumerate() {
             let src = HostId(h as u32);
-            let host = &mut *locked(host);
             for flow in &mut host.video {
                 if flow.reserved {
                     continue;
                 }
-                if let Ok(choice) =
-                    dyn_state.admission.admit_choice(net, src, flow.dst, self.video_bw)
+                if let Ok(choice) = self.admission.admit_choice(net, src, flow.dst, self.video_bw)
                 {
                     flow.choice = choice;
                     flow.reserved = true;
@@ -450,12 +399,12 @@ impl FlowTable {
     /// Video streams that could not be admitted and run unreserved
     /// (should stay 0 at Table-1 loads).
     pub fn admission_fallbacks(&self) -> u32 {
-        locked(&self.dyn_state).fallbacks
+        self.fallbacks
     }
 
     /// Run `f` against the admission ledger (diagnostics).
     pub fn with_admission<R>(&self, f: impl FnOnce(&AdmissionController) -> R) -> R {
-        f(&locked(&self.dyn_state).admission)
+        f(&self.admission)
     }
 
     /// Admission-side diagnostics: what the ledger holds right now.
@@ -465,7 +414,6 @@ impl FlowTable {
         let mut admitted_bw = [0u64; NUM_CLASSES];
         let mut outstanding = 0u64;
         for host in &self.hosts {
-            let host = locked(host);
             for v in &host.video {
                 if v.reserved {
                     outstanding += 1;
@@ -474,8 +422,7 @@ impl FlowTable {
                 }
             }
         }
-        let fallbacks = locked(&self.dyn_state).fallbacks;
-        AdmissionDiag { admitted_bw, outstanding, fallbacks }
+        AdmissionDiag { admitted_bw, outstanding, fallbacks: self.fallbacks }
     }
 
     /// The path choice of the fixed route for an aggregated-class packet
@@ -484,8 +431,7 @@ impl FlowTable {
     /// dead spine). This is the validation view; the hot path uses
     /// [`FlowTable::aggregated_path`].
     pub fn aggregated_choice(&self, src: HostId, dst: HostId) -> u16 {
-        let agg = read_locked(&self.agg);
-        agg.pairs[(src.0 * self.n_hosts + dst.0) as usize]
+        self.agg_pairs[(src.0 * self.n_hosts + dst.0) as usize]
             .as_ref()
             // tidy: allow(no-unwrap) -- only the src == dst diagonal is
             // None, and hosts never ask for a route to themselves.
@@ -497,8 +443,7 @@ impl FlowTable {
     /// pair — `Copy`, no allocation, what packets actually carry.
     #[inline]
     pub fn aggregated_path(&self, src: HostId, dst: HostId) -> PortPath {
-        let agg = read_locked(&self.agg);
-        agg.pairs[(src.0 * self.n_hosts + dst.0) as usize]
+        self.agg_pairs[(src.0 * self.n_hosts + dst.0) as usize]
             .as_ref()
             // tidy: allow(no-unwrap) -- only the src == dst diagonal is
             // None, and hosts never ask for a path to themselves.
@@ -516,7 +461,7 @@ impl FlowTable {
 
     /// Run `f` against one host's flow state (tests/diagnostics).
     pub fn with_host<R>(&self, src: HostId, f: impl FnOnce(&HostFlows) -> R) -> R {
-        f(&locked(&self.hosts[src.idx()]))
+        f(&self.hosts[src.idx()])
     }
 
     /// Stamp one message's parts for an aggregated class, appending the
@@ -524,7 +469,7 @@ impl FlowTable {
     /// no eligible times) under the Traditional architecture, which has
     /// no deadline machinery at all.
     pub fn stamp_aggregated(
-        &self,
+        &mut self,
         src: HostId,
         class: TrafficClass,
         now_local: SimTime,
@@ -535,7 +480,7 @@ impl FlowTable {
             out.extend(part_sizes.iter().map(|_| UNSTAMPED));
             return;
         }
-        let host = &mut *locked(&self.hosts[src.idx()]);
+        let host = &mut self.hosts[src.idx()];
         let stamper = match class {
             TrafficClass::Control => &mut host.control,
             TrafficClass::BestEffort => &mut host.best_effort[0],
@@ -552,7 +497,7 @@ impl FlowTable {
     /// as above). Returns the stream's flow id, destination and path
     /// choice; its route is `FoldedClos::port_path(src, dst, choice)`.
     pub fn stamp_video(
-        &self,
+        &mut self,
         src: HostId,
         stream: u32,
         now_local: SimTime,
@@ -560,8 +505,7 @@ impl FlowTable {
         eligible_lead: Option<SimDuration>,
         out: &mut Vec<StampedTimes>,
     ) -> (FlowId, HostId, u16) {
-        let host = &mut *locked(&self.hosts[src.idx()]);
-        let flow = &mut host.video[stream as usize];
+        let flow = &mut self.hosts[src.idx()].video[stream as usize];
         if !self.uses_deadlines {
             out.extend(part_sizes.iter().map(|_| UNSTAMPED));
         } else {
@@ -777,7 +721,7 @@ mod tests {
 
     #[test]
     fn control_stamps_at_link_speed() {
-        let (_, ft) = table(0);
+        let (_, mut ft) = table(0);
         let mut stamps = Vec::new();
         let now = SimTime::from_us(10);
         ft.stamp_aggregated(HostId(0), TrafficClass::Control, now, &[1000], &mut stamps);
@@ -788,7 +732,7 @@ mod tests {
 
     #[test]
     fn besteffort_weights_differ() {
-        let (_, ft) = table(0);
+        let (_, mut ft) = table(0);
         let (mut be, mut bg) = (Vec::new(), Vec::new());
         ft.stamp_aggregated(HostId(0), TrafficClass::BestEffort, SimTime::ZERO, &[8000], &mut be);
         ft.stamp_aggregated(HostId(0), TrafficClass::Background, SimTime::ZERO, &[8000], &mut bg);
@@ -801,7 +745,7 @@ mod tests {
 
     #[test]
     fn video_stamps_spread_over_target() {
-        let (_, ft) = table(1);
+        let (_, mut ft) = table(1);
         let parts = vec![2048u32; 5];
         let mut stamps = Vec::new();
         let lead = Some(SimDuration::from_us(20));
@@ -815,7 +759,7 @@ mod tests {
 
     #[test]
     fn failing_a_spine_reroutes_reserved_flows() {
-        let (net, ft) = table(2);
+        let (net, mut ft) = table(2);
         assert_eq!(ft.admission_fallbacks(), 0);
         let spine_links = net.switch_links(net.spine(0));
         let stats = ft.fail_links(&net, &spine_links);
@@ -849,7 +793,7 @@ mod tests {
         // Every host sends one 4 Gb/s stream to the opposite leaf: after
         // seven of eight spines die, the survivors cannot carry them all.
         let dsts: Vec<Vec<HostId>> = (0..16u32).map(|h| vec![HostId((h + 8) % 16)]).collect();
-        let ft = FlowTable::new(
+        let mut ft = FlowTable::new(
             &net,
             Architecture::Advanced2Vc,
             Bandwidth::gbps(8),
@@ -870,7 +814,7 @@ mod tests {
             ft.with_admission(|a| a.max_utilization()) <= 1.0,
             "ledger never oversubscribes"
         );
-        let count_unreserved = || {
+        let count_unreserved = |ft: &FlowTable| {
             (0..16u32)
                 .map(|h| {
                     ft.with_host(HostId(h), |hf| {
@@ -879,7 +823,7 @@ mod tests {
                 })
                 .sum::<usize>()
         };
-        assert_eq!(count_unreserved() as u32, stats.rejected);
+        assert_eq!(count_unreserved(&ft) as u32, stats.rejected);
         // Rejected flows still have a valid (unregulated) route.
         for h in 0..16u32 {
             ft.with_host(HostId(h), |hf| {
@@ -891,13 +835,13 @@ mod tests {
         }
         let back = ft.restore_links(&net, &dead);
         assert_eq!(back.readmitted, stats.rejected, "repair re-admits everyone");
-        assert_eq!(count_unreserved(), 0);
+        assert_eq!(count_unreserved(&ft), 0);
         assert!(ft.with_admission(|a| a.max_utilization()) <= 1.0);
     }
 
     #[test]
     fn aggregated_routes_move_off_failed_links() {
-        let (net, ft) = table(0);
+        let (net, mut ft) = table(0);
         // Kill whatever spine the (0, 9) route uses; every pair crossing
         // that spine must be re-assigned onto a survivor.
         let before = ft.aggregated_choice(HostId(0), HostId(9));
@@ -930,7 +874,7 @@ mod tests {
     fn traditional_stamps_nothing() {
         let net = FoldedClos::build(ClosParams::scaled(16));
         let dsts = vec![vec![]; 16];
-        let ft = FlowTable::new(
+        let mut ft = FlowTable::new(
             &net,
             Architecture::Traditional2Vc,
             Bandwidth::gbps(8),

@@ -48,4 +48,5 @@ pub use error::{SimError, StallSnapshot, Violation};
 pub use flows::{AdmissionDiag, FlowTable, RerouteStats};
 pub use experiments::{run_load_sweep, run_one, ExperimentResult, SweepPoint};
 pub use network::{Network, RunSummary};
+pub use runtime::CALENDAR_ENTRY_BYTES;
 pub use dqos_trace::{Trace, TraceSettings};

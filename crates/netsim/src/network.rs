@@ -20,14 +20,14 @@ use dqos_core::{ClockDomain, TrafficClass, NUM_CLASSES};
 use dqos_endhost::{Nic, NicConfig, Sink};
 use dqos_faults::{CompiledFaults, FaultPlan};
 use dqos_sim_core::{
-    execute, ExecConfig, ExecEdge, ExecError, SimDuration, SimRng, SimTime, SplitMix64, SpscRing,
+    execute, ExecConfig, ExecEdge, ExecError, ExecResult, SimDuration, SimRng, SimTime,
+    SplitMix64, SpscRing,
 };
 use dqos_stats::{FaultClassLoss, FaultReport, Report, StageSlack, TraceClassSlack, TraceReport};
 use dqos_switch::{Switch, SwitchConfig};
 use dqos_topology::{FoldedClos, HostId, NodeId, Port, SwitchId};
 use dqos_trace::{Trace, Tracer};
 use dqos_traffic::{build_host_mix, HostSources};
-use std::sync::Arc;
 
 /// Watchdog limit on events processed at a single timestamp (per
 /// partition): a healthy run's same-tick bursts are bounded by the port
@@ -90,8 +90,16 @@ pub struct RunSummary {
     /// sender's arena and re-enters the receiver's, so the peaks shift
     /// with the partitioning.
     pub peak_in_flight: u64,
+    /// Largest per-partition calendar high-water mark: the most events
+    /// any one partition's calendar held pending at once; times
+    /// [`crate::CALENDAR_ENTRY_BYTES`], the calendar's storage at its
+    /// peak. Diagnostic only, and a **per-partition maximum** with the
+    /// same JSON aggregation marker as `peak_in_flight`. With several
+    /// partitions it also depends on when the executor drained its
+    /// rings, so parallel runs need not reproduce it.
+    pub peak_pending_events: u64,
     /// How many partitions the run used (the aggregation width of
-    /// `peak_in_flight`).
+    /// `peak_in_flight` and `peak_pending_events`).
     pub partitions: u64,
     /// Packets dropped at failed or lossy links (fault injection only).
     pub dropped_packets: u64,
@@ -200,6 +208,14 @@ impl RunSummary {
                     ("max", Json::Int(self.peak_in_flight as i128)),
                 ]),
             ),
+            (
+                "peak_pending_events",
+                Json::obj(vec![
+                    ("aggregation", Json::Str("per-partition-max".into())),
+                    ("partitions", Json::Int(self.partitions as i128)),
+                    ("max", Json::Int(self.peak_pending_events as i128)),
+                ]),
+            ),
         ];
         for (k, v) in [
             ("dropped_packets", self.dropped_packets),
@@ -239,6 +255,12 @@ impl RunSummary {
             },
             None => return Err("missing field peak_in_flight".into()),
         };
+        // Documents written before the calendar diagnostic read as 0.
+        let peak_pending = j
+            .get("peak_pending_events")
+            .and_then(|p| p.get("max"))
+            .and_then(|v| v.as_u64())
+            .unwrap_or(0);
         Ok(RunSummary {
             events: u("events")?,
             injected_packets: u("injected_packets")?,
@@ -251,6 +273,7 @@ impl RunSummary {
             admission_fallbacks: u("admission_fallbacks")? as u32,
             offered_messages: u("offered_messages")?,
             peak_in_flight: peak,
+            peak_pending_events: peak_pending,
             partitions,
             dropped_packets: opt("dropped_packets"),
             corrupted_packets: opt("corrupted_packets"),
@@ -454,14 +477,21 @@ impl Network {
         net
     }
 
-    /// Partition the models and assemble the executor inputs.
+    /// Partition the models, run them through the executor, and hand
+    /// the shared wiring and the executor's result to `done`.
     ///
     /// Hosts are co-partitioned with their leaf switch; leaves and
     /// spines are dealt round-robin over the workers. The only
     /// cross-partition messages therefore ride leaf↔spine wires, whose
     /// smallest latency (wire propagation vs. credit return) is the
     /// executor's lookahead. Timed fault entries become epoch fences.
-    fn build(self, horizon: Option<SimTime>) -> (Vec<Partition>, ExecConfig, Arc<Shared>) {
+    /// The partitions borrow the [`Shared`] state, which lives in this
+    /// frame until `done` returns.
+    fn execute_with<R>(
+        self,
+        horizon: Option<SimTime>,
+        done: impl for<'s> FnOnce(&'s Shared, ExecResult<Partition<'s>>) -> R,
+    ) -> R {
         let cfg = self.cfg;
         let n_hosts = self.topo.n_hosts();
         let n_switches = self.topo.n_switches();
@@ -554,7 +584,7 @@ impl Network {
         // original rather than a copy.
         let mut replicas: Vec<FlowTable> = (1..w).map(|_| self.flows.clone()).collect();
         replicas.push(self.flows);
-        let shared = Arc::new(Shared {
+        let shared = Shared {
             cfg,
             topo: self.topo,
             host_clock: self.host_clock,
@@ -569,12 +599,12 @@ impl Network {
             epoch_groups,
             lanes,
             lane_of,
-        });
+        };
 
         let mut parts: Vec<Partition> = (0..w)
             .zip(replicas)
             .map(|(p, flows)| Partition {
-                shared: Arc::clone(&shared),
+                shared: &shared,
                 part: p,
                 host_ids: Vec::new(),
                 switch_ids: Vec::new(),
@@ -612,8 +642,9 @@ impl Network {
         }
         for (s, sw) in self.switches.into_iter().enumerate() {
             let p = part_of[n_hosts as usize + s] as usize;
+            let ports = shared.topo.switch_ports(SwitchId(s as u32)) as usize;
             parts[p].switch_ids.push(s as u32);
-            parts[p].switches.push(SwitchState::new(sw));
+            parts[p].switches.push(SwitchState::new(sw, ports));
         }
         if cfg.trace.enabled {
             // Turn on the in-model note hooks (crossbar grants, pacing
@@ -638,7 +669,7 @@ impl Network {
             same_tick_limit: SAME_TICK_LIMIT,
             part_of,
         };
-        (parts, ecfg, shared)
+        done(&shared, execute(parts, ecfg))
     }
 
     /// Run to completion: sources stop at the window end, then the
@@ -678,34 +709,34 @@ impl Network {
     /// flight-recorder [`Trace`] (empty unless [`SimConfig::trace`]
     /// enabled tracing).
     pub fn try_run_traced(self) -> Result<(Report, RunSummary, Trace), SimError> {
-        let (parts, ecfg, shared) = self.build(None);
-        let res = execute(parts, ecfg);
-        match res.error {
-            Some(ExecError::App { err, .. }) => return Err(err),
-            Some(ExecError::SameTick { time, .. }) => {
+        self.execute_with(None, |shared, res| {
+            match res.error {
+                Some(ExecError::App { err, .. }) => return Err(err),
+                Some(ExecError::SameTick { time, .. }) => {
+                    return Err(SimError::Stall(Box::new(runtime::stall_snapshot(
+                        &res.worlds,
+                        time,
+                        res.events,
+                    ))));
+                }
+                Some(ExecError::Config { detail }) => return Err(SimError::Config { detail }),
+                None => {}
+            }
+            let wedged = res.worlds.iter().any(|p| {
+                p.arena.live() != 0
+                    || p.hosts.iter().any(|h| h.nic.queued_packets() != 0)
+                    || p.switches.iter().any(|s| s.sw.occupancy_packets() != 0)
+            });
+            if wedged {
+                let last = res.worlds.iter().map(|p| p.last_t).max().unwrap_or(SimTime::ZERO);
                 return Err(SimError::Stall(Box::new(runtime::stall_snapshot(
                     &res.worlds,
-                    time,
+                    last,
                     res.events,
                 ))));
             }
-            Some(ExecError::Config { detail }) => return Err(SimError::Config { detail }),
-            None => {}
-        }
-        let wedged = res.worlds.iter().any(|p| {
-            p.arena.live() != 0
-                || p.hosts.iter().any(|h| h.nic.queued_packets() != 0)
-                || p.switches.iter().any(|s| s.sw.occupancy_packets() != 0)
-        });
-        if wedged {
-            let last = res.worlds.iter().map(|p| p.last_t).max().unwrap_or(SimTime::ZERO);
-            return Err(SimError::Stall(Box::new(runtime::stall_snapshot(
-                &res.worlds,
-                last,
-                res.events,
-            ))));
-        }
-        Ok(finish(&shared, res.worlds, res.events))
+            Ok(finish(shared, res.worlds, res.events, &res.peak_pending))
+        })
     }
 
     /// Run but stop processing at the window end, leaving in-flight
@@ -713,25 +744,27 @@ impl Network {
     /// identical to [`Network::run`], only the drain is skipped).
     pub fn run_truncated(self) -> (Report, RunSummary) {
         let stop = self.cfg.window_end();
-        let (parts, ecfg, shared) = self.build(Some(stop));
-        let res = execute(parts, ecfg);
-        match res.error {
-            // tidy: allow(no-unwrap) -- truncated runs are a measurement
-            // mode for fault-free configs; an executor error is a sim bug.
-            Some(ExecError::App { err, .. }) => panic!("{err}"),
-            Some(ExecError::SameTick { time, .. }) => {
-                let snap = runtime::stall_snapshot(&res.worlds, time, res.events);
-                // tidy: allow(no-unwrap) -- same contract as the App arm:
-                // stalls in a truncated fault-free run are simulator bugs.
-                panic!("{}", SimError::Stall(Box::new(snap)));
+        self.execute_with(Some(stop), |shared, res| {
+            match res.error {
+                // tidy: allow(no-unwrap) -- truncated runs are a measurement
+                // mode for fault-free configs; an executor error is a sim bug.
+                Some(ExecError::App { err, .. }) => panic!("{err}"),
+                Some(ExecError::SameTick { time, .. }) => {
+                    let snap = runtime::stall_snapshot(&res.worlds, time, res.events);
+                    // tidy: allow(no-unwrap) -- same contract as the App arm:
+                    // stalls in a truncated fault-free run are simulator bugs.
+                    panic!("{}", SimError::Stall(Box::new(snap)));
+                }
+                Some(ExecError::Config { detail }) => {
+                    // tidy: allow(no-unwrap) -- truncated runs use the same
+                    // assembled config as try_run; a config error is a sim bug.
+                    panic!("configuration cannot execute: {detail}")
+                }
+                None => {}
             }
-            // tidy: allow(no-unwrap) -- truncated runs use the same
-            // assembled config as try_run; a config error is a sim bug.
-            Some(ExecError::Config { detail }) => panic!("configuration cannot execute: {detail}"),
-            None => {}
-        }
-        let (report, summary, _) = finish(&shared, res.worlds, res.events);
-        (report, summary)
+            let (report, summary, _) = finish(shared, res.worlds, res.events, &res.peak_pending);
+            (report, summary)
+        })
     }
 }
 
@@ -740,9 +773,10 @@ impl Network {
 /// jitter merges inside [`Collector::finish`] — a fixed operation
 /// sequence, so the result is bit-identical at any worker count.
 fn finish(
-    shared: &Arc<Shared>,
-    worlds: Vec<Partition>,
+    shared: &Shared,
+    worlds: Vec<Partition<'_>>,
     events: u64,
+    peak_pending: &[u64],
 ) -> (Report, RunSummary, Trace) {
     let mut totals = PartTotals::default();
     let mut collector: Option<Collector> = None;
@@ -776,6 +810,7 @@ fn finish(
         admission_fallbacks,
         offered_messages: totals.offered,
         peak_in_flight: totals.peak_in_flight,
+        peak_pending_events: peak_pending.iter().copied().max().unwrap_or(0),
         partitions,
         dropped_packets: totals.dropped.iter().sum(),
         corrupted_packets: totals.corrupted.iter().sum(),

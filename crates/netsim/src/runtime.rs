@@ -10,8 +10,9 @@
 //! fault-impairment RNG streams, and its own *replica* of every
 //! epoch-mutated table (flow table, link up/down flags, fault
 //! injector). Truly immutable state (topology, clock domains, wiring
-//! maps) lives in one [`Shared`] behind an `Arc`, alongside the
-//! per-edge packet lanes described below.
+//! maps) lives in one [`Shared`] that every partition borrows for the
+//! whole run (a plain reference: handling an event touches no
+//! refcount), alongside the per-edge packet lanes described below.
 //!
 //! # The token hot path
 //!
@@ -25,18 +26,34 @@
 //! fill action/token scratch buffers owned by the partition, so the
 //! steady-state event loop performs no heap allocation at all.
 //!
+//! Calendar events carry no packet. A token on a wire waits in a FIFO
+//! (a `VecDeque`) owned by the link's receiving end — a switch input
+//! port or a host's delivery link — from the moment its transmission
+//! starts, and the payload-free arrival event ([`Msg::SwitchArrive`],
+//! [`Msg::HostArrive`]) pops it. Pop order equals push order because a
+//! link has one sender and its arrivals are ordered like its sends:
+//! each arrival is the sender's transmit finish time plus the link's
+//! constant wire delay, finish times on one transmitter never decrease,
+//! and at a shared tick the event keys — `(sender node, per-node
+//! sequence)` — order the sender's own events by send order. A wire
+//! drop pushes nothing and schedules no arrival. A [`Msg`] is 8 bytes
+//! and a calendar entry 32.
+//!
 //! # Cross-partition hand-off: event rings plus packet lanes
 //!
 //! A partition-crossing packet is evicted from the sender's arena and
 //! word-encoded onto the *packet lane* — a [`SpscRing`] owned by the
-//! ordered partition pair — while the event itself crosses through the
-//! executor's event ring as a one-word [`Msg`] carrying only
-//! `(src_part, seq)`. Both rings are SPSC and FIFO, and the lane
-//! record is pushed before the event record, so when the receiver
-//! drains an event it [`rehydrates`](PartWorld::rehydrate) the matching
-//! lane record — pops the packet, re-homes it into its own arena, and
-//! rebuilds the token — before the event is merged into its calendar.
-//! No boxing, no locks, no allocation on the steady-state path.
+//! ordered partition pair — while the arrival event crosses through
+//! the executor's event ring as a one-word [`Msg`]. Both rings are SPSC
+//! and FIFO, and the lane record is pushed before the event record, so
+//! when the receiver drains an arrival event it
+//! [`rehydrates`](PartWorld::rehydrate) the lane's front record — pops
+//! the packet, re-homes it into its own arena, and queues the rebuilt
+//! token on the receiving link's FIFO — before the event is merged into
+//! its calendar. One lane and one ring carry every link of a partition
+//! pair in send order, so each link's tokens reach its FIFO in order;
+//! a drain may queue several future arrivals on one link. No boxing,
+//! no locks, no allocation on the steady-state path.
 //!
 //! Lane sizing: a lane holds at most as many packets as its event ring
 //! holds packet-carrying records (the executor backpressures event
@@ -52,7 +69,8 @@
 //! * owned by exactly one node (models, arenas, per-link fault RNG
 //!   streams — each stream is advanced only by the link's sending
 //!   node), so its update order is the node's own event order, which
-//!   the executor fixes to `(time, key)`;
+//!   the executor fixes to `(time, key)`; a link's token FIFO belongs
+//!   to its receiving node;
 //! * immutable for the whole run (clock domains, topology, wiring); or
 //! * a per-partition **replica** mutated only by in-band epoch events
 //!   (the flow table's routes and admission ledger, link up/down
@@ -89,30 +107,12 @@ use dqos_switch::Switch;
 use dqos_topology::{FoldedClos, HostId, LinkId, NodeId, Port, PortPath, SwitchId};
 use dqos_trace::{Event as TraceEvent, EventKind, ModelNote, Tracer};
 use dqos_traffic::{AppMessage, HostSources};
-use std::sync::Arc;
-
-/// A packet on a wire: its 40-byte token when the receiver shares the
-/// sender's partition (the resident packet stays put in the arena), or
-/// a claim ticket when it crosses partitions — the full packet rides
-/// the pair's packet lane and [`PartWorld::rehydrate`] redeems the
-/// ticket into the receiver's arena before the event is handled.
-pub(crate) enum WirePkt {
-    /// Same-partition transfer; the full packet stays arena-resident.
-    Local(PktTok),
-    /// Cross-partition transfer: the packet is the next unclaimed
-    /// record on the `src_part → receiver` lane. `seq` is the lane's
-    /// push counter, cross-checked at pop (both rings are FIFO, so the
-    /// ticket order and the lane order agree by construction).
-    InFlight {
-        /// The sending partition (names the lane).
-        src_part: u32,
-        /// Lane push sequence number (debug cross-check).
-        seq: u32,
-    },
-}
+use std::collections::VecDeque;
 
 /// Messages delivered to nodes. Host nodes are ids `[0, n_hosts)`,
-/// switch nodes `[n_hosts, n_hosts + n_switches)`.
+/// switch nodes `[n_hosts, n_hosts + n_switches)`. No message carries a
+/// packet: an arrival's token waits in the receiving link's FIFO
+/// (module docs).
 pub(crate) enum Msg {
     /// A traffic source fires (host node).
     SourceFire {
@@ -131,12 +131,11 @@ pub(crate) enum Msg {
         /// Freed bytes.
         bytes: u32,
     },
-    /// A packet fully arrived at a switch input.
+    /// A packet fully arrived at a switch input; its token is the
+    /// oldest on the port's wire.
     SwitchArrive {
         /// The receiving input port.
         port: Port,
-        /// The packet.
-        pkt: WirePkt,
     },
     /// A switch's internal crossbar transfer completed.
     SwitchXbarDone {
@@ -157,17 +156,25 @@ pub(crate) enum Msg {
         /// Freed bytes.
         bytes: u32,
     },
-    /// A packet fully arrived at its destination host.
-    HostArrive {
-        /// The packet.
-        pkt: WirePkt,
-    },
+    /// A packet fully arrived at its destination host; its token is the
+    /// oldest on the host's delivery link.
+    HostArrive,
 }
 
+// The calendar holds `(node, Msg)` payloads: 12 bytes, so an entry
+// (time, key, payload) is 32. A packet-carrying variant would put the
+// 40-byte token back into every entry.
+const _: () = assert!(std::mem::size_of::<(u32, Msg)>() <= 12);
+const _: () = assert!(dqos_sim_core::EventQueue::<(u32, Msg)>::ENTRY_BYTES <= 32);
+
+/// Bytes per pending event in a partition's calendar: time, ordering
+/// key, destination node and message.
+pub const CALENDAR_ENTRY_BYTES: usize =
+    dqos_sim_core::EventQueue::<(u32, Msg)>::ENTRY_BYTES;
+
 /// One-word wire format for partition-crossing [`Msg`]s: the variant
-/// tag lives in bits 0..8, small fields pack above it. Only `InFlight`
-/// packet claims ever cross (a `Local` token is by definition
-/// same-partition), so the codec rejects them loudly.
+/// tag lives in bits 0..8, small fields pack above it. An arrival's
+/// packet rides the pair's packet lane, not the word.
 impl RingMsg for Msg {
     const MAX_WORDS: usize = 1;
 
@@ -177,25 +184,13 @@ impl RingMsg for Msg {
             Msg::HostWake => 1,
             Msg::HostTxDone => 2,
             Msg::HostCredit { vc, bytes } => 3 | (vc.0 as u64) << 8 | (bytes as u64) << 32,
-            Msg::SwitchArrive { port, pkt: WirePkt::InFlight { src_part, seq } } => {
-                debug_assert!(src_part < 1 << 16, "partition count exceeds the lane tag");
-                4 | (port.0 as u64) << 8 | (src_part as u64) << 16 | (seq as u64) << 32
-            }
+            Msg::SwitchArrive { port } => 4 | (port.0 as u64) << 8,
             Msg::SwitchXbarDone { port } => 5 | (port.0 as u64) << 8,
             Msg::SwitchTxDone { port } => 6 | (port.0 as u64) << 8,
             Msg::SwitchCredit { port, vc, bytes } => {
                 7 | (port.0 as u64) << 8 | (vc.0 as u64) << 16 | (bytes as u64) << 32
             }
-            Msg::HostArrive { pkt: WirePkt::InFlight { src_part, seq } } => {
-                debug_assert!(src_part < 1 << 16, "partition count exceeds the lane tag");
-                8 | (src_part as u64) << 16 | (seq as u64) << 32
-            }
-            Msg::SwitchArrive { pkt: WirePkt::Local(_), .. }
-            | Msg::HostArrive { pkt: WirePkt::Local(_) } => {
-                // tidy: allow(no-unwrap) -- Partition::wire() only builds
-                // Local for same-partition receivers, which never encode.
-                unreachable!("a Local token never crosses partitions")
-            }
+            Msg::HostArrive => 8,
         };
         out.push(w);
     }
@@ -203,14 +198,12 @@ impl RingMsg for Msg {
     fn decode(words: &[u64]) -> Self {
         let w = words[0];
         let port = Port((w >> 8) as u8);
-        let src_part = ((w >> 16) & 0xFFFF) as u32;
-        let seq = (w >> 32) as u32;
         match w & 0xFF {
             0 => Msg::SourceFire { idx: (w >> 8) as u32 },
             1 => Msg::HostWake,
             2 => Msg::HostTxDone,
             3 => Msg::HostCredit { vc: Vc((w >> 8) as u8), bytes: (w >> 32) as u32 },
-            4 => Msg::SwitchArrive { port, pkt: WirePkt::InFlight { src_part, seq } },
+            4 => Msg::SwitchArrive { port },
             5 => Msg::SwitchXbarDone { port },
             6 => Msg::SwitchTxDone { port },
             7 => Msg::SwitchCredit {
@@ -218,7 +211,7 @@ impl RingMsg for Msg {
                 vc: Vc(((w >> 16) & 0xFF) as u8),
                 bytes: (w >> 32) as u32,
             },
-            8 => Msg::HostArrive { pkt: WirePkt::InFlight { src_part, seq } },
+            8 => Msg::HostArrive,
             // tidy: allow(no-unwrap) -- the word came from encode() above;
             // any other tag is memory corruption, not a runtime condition.
             t => unreachable!("unknown Msg tag {t}"),
@@ -302,6 +295,7 @@ pub(crate) enum Feeder {
 /// epoch schedule, plus the packet lanes. Nothing here is mutated
 /// after construction except the lane rings, which are SPSC per
 /// ordered partition pair (each end touched by exactly one worker).
+/// It outlives the run; partitions borrow it.
 pub(crate) struct Shared {
     pub(crate) cfg: SimConfig,
     pub(crate) topo: FoldedClos,
@@ -340,6 +334,8 @@ pub(crate) struct HostState {
     pub(crate) nic: Nic,
     pub(crate) sink: Sink,
     pub(crate) sources: HostSources,
+    /// Tokens in flight on the host's delivery link.
+    pub(crate) wire: VecDeque<PktTok>,
     next_msg_id: u64,
     /// Per-host packet counter; ids are `(host << 40) | counter` so
     /// they are unique and per-flow monotone without global state.
@@ -357,6 +353,7 @@ impl HostState {
             nic,
             sink,
             sources,
+            wire: VecDeque::new(),
             next_msg_id: 0,
             next_pkt: 0,
             seq: 0,
@@ -368,14 +365,21 @@ impl HostState {
 /// Per-switch state owned by a partition.
 pub(crate) struct SwitchState {
     pub(crate) sw: Switch,
+    /// Tokens in flight on the wire into each input port.
+    pub(crate) wires: Box<[VecDeque<PktTok>]>,
     seq: u64,
     /// Next flight-recorder sample boundary (see [`HostState`]).
     next_sample: SimTime,
 }
 
 impl SwitchState {
-    pub(crate) fn new(sw: Switch) -> Self {
-        SwitchState { sw, seq: 0, next_sample: SimTime::ZERO }
+    pub(crate) fn new(sw: Switch, ports: usize) -> Self {
+        SwitchState {
+            sw,
+            wires: vec![VecDeque::new(); ports].into_boxed_slice(),
+            seq: 0,
+            next_sample: SimTime::ZERO,
+        }
     }
 }
 
@@ -383,8 +387,8 @@ impl SwitchState {
 /// private arena, collector, fault-roll RNG streams, and the scratch
 /// buffers the allocation-free event loop runs on.
 // tidy: hot-path
-pub(crate) struct Partition {
-    pub(crate) shared: Arc<Shared>,
+pub(crate) struct Partition<'s> {
+    pub(crate) shared: &'s Shared,
     pub(crate) part: u32,
     /// Global host ids owned, ascending; parallel to `hosts`.
     pub(crate) host_ids: Vec<u32>,
@@ -414,9 +418,10 @@ pub(crate) struct Partition {
     pub(crate) lane_buf: Vec<u64>,
     /// Per-destination-partition lane push counters.
     pub(crate) lane_seq_out: Vec<u32>,
-    /// Per-source-partition lane pop counters (checked against the
-    /// ticket's `seq` — a mismatch means the lane and event ring
-    /// desynchronised, which the FIFO contract forbids).
+    /// Per-source-partition lane pop counters (debug-checked against
+    /// the sequence word of each popped record — a mismatch means the
+    /// lane and event ring desynchronised, which the FIFO contract
+    /// forbids).
     pub(crate) lane_seq_in: Vec<u32>,
     pub(crate) fault_dropped: [u64; NUM_CLASSES],
     pub(crate) fault_corrupted: [u64; NUM_CLASSES],
@@ -441,7 +446,7 @@ pub(crate) struct Partition {
     pub(crate) stamp_buf: Vec<StampedTimes>,
 }
 
-impl Partition {
+impl Partition<'_> {
     /// Event key for the next send from `node`: `(node, seq)` packed so
     /// same-tick merge order is a function of simulation history only.
     fn next_key(&mut self, node: u32) -> u64 {
@@ -471,14 +476,30 @@ impl Partition {
         &mut self.switches[self.shared.local_idx[sw_node as usize] as usize]
     }
 
-    /// Pack a token for transfer to `dst_node`: the token itself when
-    /// local; when it crosses partitions, the arena-evicted packet
-    /// (header fields synced from the token) is word-encoded onto the
-    /// pair's lane and a claim ticket rides the event ring instead.
-    fn wire(&mut self, shared: &Shared, dst_node: u32, tok: PktTok) -> WirePkt {
+    /// The FIFO of the link into `port` of `node` (a local node): the
+    /// switch input port's wire, or a host's delivery link (`port` is
+    /// then ignored).
+    #[inline]
+    fn wire_mut(&mut self, node: u32, port: Port) -> &mut VecDeque<PktTok> {
+        let li = self.shared.local_idx[node as usize] as usize;
+        if node < self.shared.n_hosts {
+            &mut self.hosts[li].wire
+        } else {
+            &mut self.switches[li].wires[port.idx()]
+        }
+    }
+
+    /// Put `tok` on the link into `port` of `dst_node`. A same-partition
+    /// receiver gets the token on its link FIFO now (the resident
+    /// packet stays put in the arena); for a receiver in another
+    /// partition the arena-evicted packet (header fields synced from
+    /// the token) is word-encoded onto the pair's lane, and the
+    /// receiver queues it when it drains the arrival event.
+    fn wire(&mut self, shared: &Shared, dst_node: u32, port: Port, tok: PktTok) {
         let dst_part = shared.part_of[dst_node as usize];
         if dst_part == self.part {
-            return WirePkt::Local(tok);
+            self.wire_mut(dst_node, port).push_back(tok);
+            return;
         }
         let pkt = self.arena.take(&tok);
         let seq = self.lane_seq_out[dst_part as usize];
@@ -500,31 +521,26 @@ impl Partition {
             self.part,
             dst_part
         );
-        WirePkt::InFlight { src_part: self.part, seq }
     }
 
-    /// Redeem a claim ticket: pop the next record off the
-    /// `from_part → self` lane and re-home the packet into this
-    /// partition's arena, returning its token. The token's output port
-    /// is the route's port at the current hop — for a delivery (hop
-    /// past the route's end) it is a placeholder the sink never reads.
-    fn claim_from_lane(&mut self, from_part: u32, seq: u32) -> PktTok {
+    /// Pop the next record off the `from_part → self` lane and re-home
+    /// the packet into this partition's arena, returning its token. The
+    /// token's output port is the route's port at the current hop — for
+    /// a delivery (hop past the route's end) it is a placeholder the
+    /// sink never reads.
+    fn claim_from_lane(&mut self, from_part: u32) -> PktTok {
         let lane = self.shared.lane_of[from_part as usize][self.part as usize]
-            // tidy: allow(no-unwrap) -- a ticket names the lane it was
-            // pushed to; its absence is a partitioning bug.
-            .expect("ticket names an existing lane");
+            // tidy: allow(no-unwrap) -- a drained arrival came over the
+            // edge this lane belongs to; its absence is a partitioning bug.
+            .expect("arrival names an existing lane");
         let mut buf = std::mem::take(&mut self.lane_buf);
         let popped = self.shared.lanes[lane].pop(&mut buf);
         // The lane record is pushed before its event record, and both
-        // rings are FIFO, so the ticket being drained proves its packet
-        // is already in the lane.
+        // rings are FIFO, so the arrival being drained proves its
+        // packet is already in the lane.
         assert!(popped, "lane {from_part} -> {} empty at claim", self.part);
-        debug_assert_eq!(buf[0] as u32, seq, "lane/event-ring sequence desync");
-        debug_assert_eq!(
-            self.lane_seq_in[from_part as usize],
-            seq,
-            "lane pop order diverged from ticket order"
-        );
+        let seq = self.lane_seq_in[from_part as usize];
+        debug_assert_eq!(buf[0] as u32, seq, "lane pop order diverged from arrival order");
         self.lane_seq_in[from_part as usize] = seq.wrapping_add(1);
         let pkt = decode_packet(&buf[1..]);
         buf.clear();
@@ -884,9 +900,9 @@ impl Partition {
         tok.deadline = ClockDomain::decode_ttd(ttd, shared.sw_clock[sw.idx()].local(arrive));
         tok.eligible = SimTime::ZERO; // host-only field, not in the header
         let dst_node = shared.n_hosts + sw.0;
-        let pkt = self.wire(shared, dst_node, tok);
+        self.wire(shared, dst_node, end.peer_port, tok);
         let k = self.next_key(host);
-        out.send(dst_node, arrive, k, Msg::SwitchArrive { port: end.peer_port, pkt });
+        out.send(dst_node, arrive, k, Msg::SwitchArrive { port: end.peer_port });
     }
 
     fn apply_switch_actions(
@@ -1032,14 +1048,14 @@ impl Partition {
                     ClockDomain::decode_ttd(ttd, shared.sw_clock[next.idx()].local(arrive));
                 tok.out = self.arena.out_port_at(tok.slot, tok.hop);
                 let dst_node = shared.n_hosts + next.0;
-                let pkt = self.wire(shared, dst_node, tok);
+                self.wire(shared, dst_node, end.peer_port, tok);
                 let k = self.next_key(sw_node);
-                out.send(dst_node, arrive, k, Msg::SwitchArrive { port: end.peer_port, pkt });
+                out.send(dst_node, arrive, k, Msg::SwitchArrive { port: end.peer_port });
             }
             NodeId::Host(h) => {
-                let pkt = self.wire(shared, h.0, tok);
+                self.wire(shared, h.0, end.peer_port, tok);
                 let k = self.next_key(sw_node);
-                out.send(h.0, arrive, k, Msg::HostArrive { pkt });
+                out.send(h.0, arrive, k, Msg::HostArrive);
             }
         }
         Ok(())
@@ -1126,7 +1142,7 @@ impl Partition {
     }
 }
 
-impl PartWorld for Partition {
+impl PartWorld for Partition<'_> {
     type Msg = Msg;
     type Err = SimError;
 
@@ -1152,39 +1168,38 @@ impl PartWorld for Partition {
         out: &mut Outbox<'_, Msg>,
     ) -> Result<(), SimError> {
         self.last_t = now;
-        // One refcount bump per event; every helper below borrows this
-        // instead of re-cloning the Arc.
-        let shared = Arc::clone(&self.shared);
+        // Copying the `&Shared` out of `self` lets helpers take it
+        // alongside `&mut self`.
+        let shared = self.shared;
         if self.tracer.on() {
             self.maybe_sample(node, now);
         }
         match msg {
             Msg::SourceFire { idx } => {
-                self.source_fire(&shared, node, idx, now, out);
+                self.source_fire(shared, node, idx, now, out);
             }
             Msg::HostWake => {
-                self.with_nic(&shared, node, now, out, |nic, local, acts| {
+                self.with_nic(shared, node, now, out, |nic, local, acts| {
                     nic.on_wake(local, acts);
                 });
             }
             Msg::HostTxDone => {
-                self.with_nic(&shared, node, now, out, |nic, local, acts| {
+                self.with_nic(shared, node, now, out, |nic, local, acts| {
                     nic.on_tx_done(local, acts);
                 });
             }
             Msg::HostCredit { vc, bytes } => {
-                self.with_nic(&shared, node, now, out, |nic, local, acts| {
+                self.with_nic(shared, node, now, out, |nic, local, acts| {
                     nic.on_credit(vc, bytes, local, acts);
                 });
             }
-            Msg::SwitchArrive { port, pkt } => {
-                let tok = match pkt {
-                    WirePkt::Local(t) => t,
-                    // tidy: allow(no-unwrap) -- the executor rehydrates
-                    // every drained message before scheduling it, so a
-                    // ticket can never reach a handler.
-                    WirePkt::InFlight { .. } => unreachable!("tickets are redeemed at drain"),
-                };
+            Msg::SwitchArrive { port } => {
+                let tok = self.switch_mut(node).wires[port.idx()]
+                    .pop_front()
+                    // tidy: allow(no-unwrap) -- every arrival event was
+                    // scheduled with its token pushed (locally at send,
+                    // or at drain for a crossing), in arrival order.
+                    .expect("an arrival finds its token on the wire");
                 if self.tracer.on() {
                     self.tracer.record(TraceEvent {
                         at: now,
@@ -1193,35 +1208,37 @@ impl PartWorld for Partition {
                         kind: EventKind::HopEnqueue { vc: tok.vc.idx() as u8 },
                     });
                 }
-                self.with_switch(&shared, node, now, out, |sw, local, acts| {
+                self.with_switch(shared, node, now, out, |sw, local, acts| {
                     sw.on_packet_arrival(port, tok, local, acts);
                 })?;
             }
             Msg::SwitchXbarDone { port } => {
-                self.with_switch(&shared, node, now, out, |sw, local, acts| {
+                self.with_switch(shared, node, now, out, |sw, local, acts| {
                     sw.on_xbar_done(port, local, acts);
                 })?;
             }
             Msg::SwitchTxDone { port } => {
-                self.with_switch(&shared, node, now, out, |sw, local, acts| {
+                self.with_switch(shared, node, now, out, |sw, local, acts| {
                     sw.on_tx_done(port, local, acts);
                 })?;
             }
             Msg::SwitchCredit { port, vc, bytes } => {
-                self.with_switch(&shared, node, now, out, |sw, local, acts| {
+                self.with_switch(shared, node, now, out, |sw, local, acts| {
                     sw.on_credit(port, vc, bytes, local, acts);
                 })?;
             }
-            Msg::HostArrive { pkt } => {
-                let pkt = match pkt {
-                    // Reassembled with the token's header fields: the
-                    // TTD-decoded deadline is still in the transmitting
-                    // leaf's domain (the final hop carries no TTD).
-                    WirePkt::Local(tok) => self.arena.take(&tok),
+            Msg::HostArrive => {
+                let tok = self
+                    .host_mut(node)
+                    .wire
+                    .pop_front()
                     // tidy: allow(no-unwrap) -- see SwitchArrive above.
-                    WirePkt::InFlight { .. } => unreachable!("tickets are redeemed at drain"),
-                };
-                self.handle_delivery(&shared, node, pkt, now, out);
+                    .expect("an arrival finds its token on the wire");
+                // Reassembled with the token's header fields: the
+                // TTD-decoded deadline is still in the transmitting
+                // leaf's domain (the final hop carries no TTD).
+                let pkt = self.arena.take(&tok);
+                self.handle_delivery(shared, node, pkt, now, out);
             }
         }
         Ok(())
@@ -1235,7 +1252,7 @@ impl PartWorld for Partition {
     /// each mutation below is a deterministic function of state the
     /// replicas agree on, so they stay identical (module docs).
     fn on_epoch(&mut self, idx: usize) {
-        let shared = Arc::clone(&self.shared);
+        let shared = self.shared;
         let (at, ref timed_idxs) = shared.epoch_groups[idx];
         for &ti in timed_idxs {
             let (links, down) = self.injector.on_event(at, ti);
@@ -1255,22 +1272,19 @@ impl PartWorld for Partition {
         );
     }
 
-    /// Redeem a partition-crossing packet ticket at drain time,
-    /// rewriting the message so handlers only ever see `Local` tokens.
-    fn rehydrate(&mut self, from_part: u32, msg: Msg) -> Msg {
-        match msg {
-            Msg::SwitchArrive { port, pkt: WirePkt::InFlight { src_part, seq } } => {
-                debug_assert_eq!(src_part, from_part, "ticket names its sender");
-                let tok = self.claim_from_lane(src_part, seq);
-                Msg::SwitchArrive { port, pkt: WirePkt::Local(tok) }
-            }
-            Msg::HostArrive { pkt: WirePkt::InFlight { src_part, seq } } => {
-                debug_assert_eq!(src_part, from_part, "ticket names its sender");
-                let tok = self.claim_from_lane(src_part, seq);
-                Msg::HostArrive { pkt: WirePkt::Local(tok) }
-            }
-            other => other,
-        }
+    /// Queue a partition-crossing packet at drain time: an arrival's
+    /// packet is the front record of the sender's lane, and its token
+    /// joins the receiving link's FIFO.
+    fn rehydrate(&mut self, from_part: u32, node: u32, msg: Msg) -> Msg {
+        let port = match msg {
+            Msg::SwitchArrive { port } => port,
+            // A host has one incoming link.
+            Msg::HostArrive => Port(0),
+            _ => return msg,
+        };
+        let tok = self.claim_from_lane(from_part);
+        self.wire_mut(node, port).push_back(tok);
+        msg
     }
 }
 
@@ -1295,7 +1309,7 @@ pub(crate) struct PartTotals {
 }
 
 impl PartTotals {
-    pub(crate) fn absorb(&mut self, p: &Partition) {
+    pub(crate) fn absorb(&mut self, p: &Partition<'_>) {
         self.injected += p.hosts.iter().map(|h| h.nic.stats().injected_packets).sum::<u64>();
         self.delivered += p.hosts.iter().map(|h| h.sink.stats().packets).sum::<u64>();
         self.out_of_order += p.hosts.iter().map(|h| h.sink.stats().out_of_order).sum::<u64>();
@@ -1323,7 +1337,7 @@ impl PartTotals {
 /// Where is everything? Taken when a watchdog fires. The admission
 /// view comes from partition 0's flow-table replica (all replicas hold
 /// identical ledgers — module docs).
-pub(crate) fn stall_snapshot(parts: &[Partition], now: SimTime, events: u64) -> StallSnapshot {
+pub(crate) fn stall_snapshot(parts: &[Partition<'_>], now: SimTime, events: u64) -> StallSnapshot {
     let mut stuck_ports = Vec::new();
     let mut stuck_hosts = Vec::new();
     let mut arena_live = 0usize;

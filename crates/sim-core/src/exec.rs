@@ -137,13 +137,17 @@ pub trait PartWorld: Send {
     /// Apply the `idx`-th epoch to this partition's replica of the
     /// epoch-mutable state (called on every partition, in epoch order).
     fn on_epoch(&mut self, idx: usize);
-    /// Hook invoked for every cross-partition message as it is drained
-    /// from `from_part`'s ring, before it enters the calendar. The
-    /// default is the identity; `dqos-netsim` uses it to pull the
-    /// matching evicted packet off the edge's packet lane and re-home
-    /// it into the local arena.
-    fn rehydrate(&mut self, from_part: u32, msg: Self::Msg) -> Self::Msg {
-        let _ = from_part;
+    /// Hook invoked for every cross-partition message to `node` as it
+    /// is drained from `from_part`'s ring, before it enters the
+    /// calendar. Drains follow ring order, which is the sender's send
+    /// order, so a drain may run well ahead of the message's handling
+    /// time and several drained messages to one node may be pending at
+    /// once. The default is the identity; `dqos-netsim` uses it to pull
+    /// the matching evicted packet off the edge's packet lane, re-home
+    /// it into the local arena and queue its token on the receiving
+    /// link.
+    fn rehydrate(&mut self, from_part: u32, node: u32, msg: Self::Msg) -> Self::Msg {
+        let _ = (from_part, node);
         msg
     }
 }
@@ -235,6 +239,10 @@ pub struct ExecResult<W: PartWorld> {
     /// so it must never feed back into simulation state or canonical
     /// outputs (reports, traces).
     pub events_per_part: Vec<u64>,
+    /// Most events pending at once in each partition's calendar, in
+    /// partition order. Diagnostic only, like `events_per_part`; with
+    /// several partitions it also depends on when rings were drained.
+    pub peak_pending: Vec<u64>,
     /// First error recorded, if the run did not complete.
     pub error: Option<ExecError<W::Err>>,
 }
@@ -328,9 +336,11 @@ pub fn execute<W: PartWorld>(mut worlds: Vec<W>, cfg: ExecConfig) -> ExecResult<
     );
 
     // Seed every partition's calendar. Runs single-threaded, so remote
-    // sends (unusual but legal) deposit directly.
+    // sends (unusual but legal) deposit directly. The overflow heap is
+    // not pre-reserved: it holds only far-future events, a few thousand
+    // on a paper fabric, and grows to that on its own.
     let mut queues: Vec<EventQueue<(u32, W::Msg)>> =
-        (0..n_parts).map(|_| EventQueue::with_capacity(1 << 16)).collect();
+        (0..n_parts).map(|_| EventQueue::new()).collect();
     let mut staged: Vec<RemoteMsg<W::Msg>> = Vec::new();
     for (i, w) in worlds.iter_mut().enumerate() {
         let mut out = Outbox {
@@ -350,13 +360,15 @@ pub fn execute<W: PartWorld>(mut worlds: Vec<W>, cfg: ExecConfig) -> ExecResult<
         let world = &mut worlds[0];
         let queue = &mut queues[0];
         let (events, error) = run_serial(world, queue, &cfg);
-        return ExecResult { worlds, events, events_per_part: vec![events], error };
+        let peak_pending = vec![queue.peak_len() as u64];
+        return ExecResult { worlds, events, events_per_part: vec![events], peak_pending, error };
     }
     if let Some(detail) = validate_edges(&cfg, n_parts) {
         return ExecResult {
             worlds,
             events: 0,
             events_per_part: vec![0; n_parts],
+            peak_pending: queues.iter().map(|q| q.peak_len() as u64).collect(),
             error: Some(ExecError::Config { detail }),
         };
     }
@@ -524,7 +536,7 @@ fn drain_ring<W: PartWorld>(
         let key = scratch[1];
         let node = scratch[2] as u32;
         let msg = W::Msg::decode(&scratch[3..]);
-        let msg = world.rehydrate(chan.src, msg);
+        let msg = world.rehydrate(chan.src, node, msg);
         queue.schedule_keyed(at, key, (node, msg));
     }
 }
@@ -805,10 +817,10 @@ fn run_parallel<W: PartWorld>(
                 epoch_next += 1;
             }
         }
-        (world, events)
+        (world, events, queue.peak_len() as u64)
     };
 
-    let mut results: Vec<(W, u64)> = Vec::with_capacity(n_parts);
+    let mut results: Vec<(W, u64, u64)> = Vec::with_capacity(n_parts);
     scope(|s| {
         let handles: Vec<_> = worlds
             .into_iter()
@@ -827,16 +839,19 @@ fn run_parallel<W: PartWorld>(
     });
     let mut out_worlds = Vec::with_capacity(n_parts);
     let mut events_per_part = Vec::with_capacity(n_parts);
+    let mut peak_pending = Vec::with_capacity(n_parts);
     let mut events = 0u64;
-    for (w, e) in results {
+    for (w, e, peak) in results {
         out_worlds.push(w);
         events_per_part.push(e);
+        peak_pending.push(peak);
         events += e;
     }
     ExecResult {
         worlds: out_worlds,
         events,
         events_per_part,
+        peak_pending,
         error: error.into_inner().unwrap_or_else(PoisonError::into_inner),
     }
 }
@@ -919,7 +934,8 @@ mod tests {
         fn on_epoch(&mut self, idx: usize) {
             self.epoch_marks.push((idx, self.max_seen));
         }
-        fn rehydrate(&mut self, _from_part: u32, msg: u64) -> u64 {
+        fn rehydrate(&mut self, _from_part: u32, node: u32, msg: u64) -> u64 {
+            assert_eq!(self.part_of[node as usize], self.part, "drained for a local node");
             self.rehydrated += 1;
             msg
         }
@@ -1041,7 +1057,13 @@ mod tests {
             assert!(res.error.is_none());
             assert_eq!(res.events_per_part.len(), parts);
             assert_eq!(res.events_per_part.iter().sum::<u64>(), res.events);
+            assert_eq!(res.peak_pending.len(), parts);
+            // Each of the 6 tokens is one pending event at any instant,
+            // so no calendar ever holds more than 6, and each holds at
+            // least its own seeded tokens.
+            assert!(res.peak_pending.iter().all(|&p| (1..=6).contains(&p)), "{parts} parts");
         }
+        assert_eq!(run_ring(1, vec![], None).peak_pending, vec![6]);
     }
 
     #[test]

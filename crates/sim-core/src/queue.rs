@@ -138,6 +138,8 @@ pub struct EventQueue<E> {
     /// Events currently in the wheel (excludes overflow).
     wheel_len: usize,
     len: usize,
+    /// Most events ever pending at once (diagnostic high-water mark).
+    peak_len: usize,
     seq: u64,
     now: SimTime,
     scheduled_total: u64,
@@ -150,6 +152,10 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
+    /// Bytes one pending event occupies in a bucket or the overflow
+    /// heap: the time, the ordering key and the payload, padded.
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<Entry<E>>();
+
     /// An empty calendar at time zero with the default geometry.
     pub fn new() -> Self {
         Self::with_geometry(DEFAULT_SHIFT, DEFAULT_BUCKETS)
@@ -179,6 +185,7 @@ impl<E> EventQueue<E> {
             cur_abs: 0,
             wheel_len: 0,
             len: 0,
+            peak_len: 0,
             seq: 0,
             now: SimTime::ZERO,
             scheduled_total: 0,
@@ -211,6 +218,7 @@ impl<E> EventQueue<E> {
         self.seq += 1;
         self.scheduled_total += 1;
         self.len += 1;
+        self.peak_len = self.peak_len.max(self.len);
         let abs = at.as_ns() >> self.shift;
         let entry = Entry { time: at, seq, payload };
         // `abs >= cur_abs` whenever `at >= now`; the saturating_sub keeps
@@ -244,6 +252,7 @@ impl<E> EventQueue<E> {
         );
         self.scheduled_total += 1;
         self.len += 1;
+        self.peak_len = self.peak_len.max(self.len);
         let abs = at.as_ns() >> self.shift;
         let entry = Entry { time: at, seq: key, payload };
         if abs.saturating_sub(self.cur_abs) < self.n_buckets() {
@@ -435,6 +444,13 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Most events ever pending at once (a diagnostic high-water mark;
+    /// [`EventQueue::clear`] does not reset it).
+    #[inline]
+    pub fn peak_len(&self) -> usize {
+        self.peak_len
     }
 
     /// Total number of events ever scheduled (kernel throughput metric).

@@ -28,6 +28,21 @@ impl JitterTracker {
         Self::default()
     }
 
+    /// A tracker holding the given state. For compact per-flow stores
+    /// that record with [`JitterTracker::record`]'s arithmetic and build
+    /// the tracker only to merge it (`abs_diff_count` is `n - 1` for a
+    /// tracker that saw `n > 0` samples of one flow).
+    pub fn from_parts(
+        last: Option<u64>,
+        abs_diff_sum: u128,
+        abs_diff_count: u64,
+        n: u64,
+        mean: f64,
+        m2: f64,
+    ) -> Self {
+        JitterTracker { last, abs_diff_sum, abs_diff_count, n, mean, m2 }
+    }
+
     /// Record the latency (ns) of the next delivered packet/frame.
     pub fn record(&mut self, latency_ns: u64) {
         if let Some(prev) = self.last {

@@ -13,7 +13,8 @@
 //!   head-of-line blocking, link stalls, ...), which is how the hot
 //!   spots were found in the first place;
 //! * **memory**: an untraced run of the same config, made first so the
-//!   recorder's buffers do not count — peak packets in flight, resident
+//!   recorder's buffers do not count — peak packets in flight, peak
+//!   calendar events pending and the bytes per calendar entry, resident
 //!   set after set-up, what set-up costs per video stream, `(set-up RSS
 //!   − RSS before set-up) / video streams`, the process's `VmHWM` after
 //!   the run, and the heap each in-flight packet costs, `(VmHWM − set-up
@@ -35,7 +36,7 @@
 
 use deadline_qos::core::Architecture;
 use deadline_qos::netsim::presets::{cli_arg, env_workers, scaled_tiny, window_us};
-use deadline_qos::netsim::{Network, SimConfig, TraceSettings};
+use deadline_qos::netsim::{Network, SimConfig, TraceSettings, CALENDAR_ENTRY_BYTES};
 
 /// A `kB` line of `/proc/self/status` (e.g. `VmHWM`), in MiB.
 fn status_mib(key: &str) -> Option<f64> {
@@ -60,6 +61,11 @@ fn footprint(mut cfg: SimConfig) {
         "  peak packets in flight {:>10}   ({})",
         summary.peak_in_flight,
         if cfg.workers > 1 { "largest partition" } else { "whole run" }
+    );
+    println!(
+        "  peak pending events    {:>10}   ({CALENDAR_ENTRY_BYTES} B per calendar entry, {:.2} MiB at the peak)",
+        summary.peak_pending_events,
+        (summary.peak_pending_events as usize * CALENDAR_ENTRY_BYTES) as f64 / (1024.0 * 1024.0)
     );
     let (Some(before), Some(setup), Some(hwm)) = (before, setup, hwm) else {
         println!("  VmRSS / VmHWM          unavailable (no /proc/self/status)\n");

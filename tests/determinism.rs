@@ -79,10 +79,11 @@ fn fault_scenarios(topo: &FoldedClos) -> Vec<(&'static str, Option<FaultPlan>)> 
 }
 
 /// Every [`RunSummary`] field must agree between executors except
-/// `peak_in_flight` and `partitions`: the former is a per-partition
-/// arena high-water maximum (marked `aggregation: "per-partition-max"`
-/// in the report JSON) whose value legitimately shifts with how the run
-/// was split, and the latter *is* the split width.
+/// `peak_in_flight`, `peak_pending_events` and `partitions`: the first
+/// two are per-partition high-water maxima (arena and calendar, marked
+/// `aggregation: "per-partition-max"` in the summary JSON) whose values
+/// legitimately shift with how the run was split, and the last *is*
+/// the split width.
 fn assert_summaries_match(a: &RunSummary, b: &RunSummary, label: &str) {
     assert_eq!(a.events, b.events, "{label}: events");
     assert_eq!(a.injected_packets, b.injected_packets, "{label}: injected");
@@ -197,6 +198,79 @@ fn eight_workers_match_serial_with_faults_and_tracing() {
             assert_eq!(s8.partitions, 8, "{label}: expected an 8-way split");
         }
     }
+}
+
+/// Calendar events carry no packets: a token on a wire waits in the
+/// receiving link's FIFO and the arrival pops the oldest, so FIFO order
+/// must equal arrival order on every link. Wire drops (which push
+/// nothing), corruption, wires long enough to hold many tokens at once
+/// (past the FIFO's inline cells), and partition-crossing links whose
+/// tokens are queued at ring drain must all leave the report identical
+/// to the serial run and conserve packets, at every worker count.
+#[test]
+fn wire_fifos_keep_arrival_order_under_drops_at_every_worker_count() {
+    let mut base = cfg(91);
+    base.topology = ClosParams::scaled(64);
+    base.measure = SimDuration::from_us(500);
+    // 400 ns of flight holds several short packets on one wire (up to
+    // five in this run, so FIFOs spill past their two inline cells).
+    base.wire_delay = SimDuration::from_ns(400);
+    let p = base.topology;
+    let mut plan = FaultPlan::new(0xF1F0);
+    let lossy = |selector| LinkImpairment {
+        selector,
+        drop_prob: 0.03,
+        corrupt_prob: 0.02,
+        credit_loss_prob: 0.0,
+    };
+    for leaf in 0..p.leaves {
+        plan = plan.impair(lossy(LinkSelector::LeafSpine { leaf, spine: leaf % p.spines }));
+    }
+    for host in [0u32, 9, 33, 63] {
+        plan = plan.impair(lossy(LinkSelector::HostLink(host)));
+    }
+    let run = |workers: usize| {
+        let mut c = base;
+        c.workers = workers;
+        let (report, summary) =
+            Network::with_faults(c, &plan).try_run().expect("lossy run completes");
+        summary.check().expect("conservation counts every drop and corruption");
+        assert_eq!(summary.partitions, workers as u64);
+        (report.to_json(), summary)
+    };
+    let (j1, s1) = run(1);
+    assert!(
+        s1.dropped_packets > 0 && s1.corrupted_packets > 0,
+        "the plan must drop and corrupt ({} / {})",
+        s1.dropped_packets,
+        s1.corrupted_packets
+    );
+    for workers in [2, 4, 8] {
+        let (j, s) = run(workers);
+        let label = format!("{workers} workers");
+        assert_eq!(j, j1, "{label}: report JSON diverged");
+        assert_summaries_match(&s1, &s, &label);
+    }
+}
+
+/// `peak_pending_events` is a diagnostic of the simulator, not of the
+/// simulated network: it appears in the summary JSON with its
+/// aggregation marker and never in the report.
+#[test]
+fn peak_pending_events_stays_out_of_the_report() {
+    let mut c = cfg(12);
+    c.workers = 2;
+    let (report, summary) = Network::new(c).run();
+    assert!(summary.peak_pending_events > 0);
+    let report_json = report.to_json();
+    assert!(!report_json.contains("peak_pending"), "diagnostic leaked into the report");
+    let summary_json = summary.to_json_value().to_string_compact();
+    assert!(summary_json.contains("peak_pending_events"), "{summary_json}");
+    let back = RunSummary::from_json_value(&summary.to_json_value()).expect("roundtrip");
+    assert_eq!(back.peak_pending_events, summary.peak_pending_events);
+    // A serial run of the same config emits the identical report.
+    c.workers = 1;
+    assert_eq!(Network::new(c).run().0.to_json(), report_json);
 }
 
 /// A zero-lookahead neighbour configuration must be *rejected up

@@ -97,18 +97,22 @@ const LOOKAHEAD: u64 = 2;
 /// Two-node world: node 0 lives in partition 0, node 1 in partition 1
 /// (or both in partition 0 for the serial oracle). Every delivery is
 /// appended to an order-sensitive log; a message carrying `hops > 0`
-/// relays to the other node after the edge lookahead.
+/// relays to the other node after the edge lookahead. The drain hook
+/// logs every cross-partition message with the node it is for, the way
+/// the network runtime queues a crossing packet on its receiving link.
 struct RelayWorld {
     part: u32,
     part_of: Vec<u32>,
     plan: &'static [(u64, u32, u64)],
     log: Vec<(u64, u32, u64)>,
+    /// `(node, hops)` of each message drained from the other partition.
+    drained: Vec<(u32, u64)>,
     seq: u64,
 }
 
 impl RelayWorld {
     fn new(part: u32, part_of: Vec<u32>, plan: &'static [(u64, u32, u64)]) -> Self {
-        RelayWorld { part, part_of, plan, log: Vec::new(), seq: 0 }
+        RelayWorld { part, part_of, plan, log: Vec::new(), drained: Vec::new(), seq: 0 }
     }
 }
 
@@ -142,6 +146,13 @@ impl PartWorld for RelayWorld {
     }
 
     fn on_epoch(&mut self, _idx: usize) {}
+
+    fn rehydrate(&mut self, from_part: u32, node: u32, hops: u64) -> u64 {
+        assert_eq!(from_part, 1 - self.part, "drained from the only neighbour");
+        assert_eq!(self.part_of[node as usize], self.part, "drained for a local node");
+        self.drained.push((node, hops));
+        hops
+    }
 }
 
 fn cfg(part_of: Vec<u32>) -> ExecConfig {
@@ -192,6 +203,18 @@ fn exec_driver(plan: &'static [(u64, u32, u64)], expected: &[Vec<(u64, u32, u64)
     assert!(r.error.is_none(), "parallel run errored: {:?}", r.error.map(|_| ()));
     assert_eq!(r.worlds[0].log, expected[0], "partition 0 diverged from the serial oracle");
     assert_eq!(r.worlds[1].log, expected[1], "partition 1 diverged from the serial oracle");
+    // Every unseeded delivery crossed partitions (a relay always targets
+    // the other node), and each link has one sender, so the drain hook
+    // saw exactly those messages, in the order they were handled.
+    for (p, w) in r.worlds.iter().enumerate() {
+        let relayed: Vec<(u32, u64)> = w
+            .log
+            .iter()
+            .filter(|&&(t, node, hops)| !plan.contains(&(t, node, hops)))
+            .map(|&(_, node, hops)| (node, hops))
+            .collect();
+        assert_eq!(w.drained, relayed, "partition {p}: drains differ from crossings");
+    }
 }
 
 /// Token relay 0 -> 1 -> 0: cross-partition records in both directions.
