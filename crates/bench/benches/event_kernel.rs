@@ -10,7 +10,7 @@
 //!
 //! Run: `cargo bench -p dqos-bench --bench event_kernel`
 
-use dqos_bench::harness::{measure, write_json_merged, Measurement};
+use dqos_bench::harness::{measure, write_json, Measurement};
 use dqos_bench::repo_root;
 use dqos_core::Architecture;
 use dqos_netsim::{Network, SimConfig};
@@ -58,11 +58,7 @@ fn churn_heap(pending: usize, jit: &[u64]) -> u64 {
 }
 
 /// Full-simulation event rate: run a tiny network for 2 ms of simulated
-/// time and report events per wall-clock second.
-///
-/// Recorded as `fullsim/...` rows; the pre-token-hot-path rates live on
-/// in the file as `full_sim/...` rows (the merge-writer keeps them), so
-/// the struct-of-arrays win stays auditable against its own baseline.
+/// time and report events per wall-clock second (`fullsim/...` rows).
 fn full_sim_rate(arch: Architecture) -> Measurement {
     let run = || {
         let mut cfg = SimConfig::tiny(arch, 0.5);
@@ -99,28 +95,8 @@ fn main() {
         results.push(h);
     }
 
-    // The committed file's `full_sim/...` rows are the pre-optimisation
-    // baseline; read them before anything rewrites the file.
-    let json_path = repo_root().join("BENCH_kernel.json");
-    let baseline = std::fs::read_to_string(&json_path)
-        .ok()
-        .and_then(|s| dqos_stats::Json::parse(&s).ok());
-
     for arch in [Architecture::Traditional2Vc, Architecture::Advanced2Vc] {
-        let m = full_sim_rate(arch);
-        let old = baseline
-            .as_ref()
-            .and_then(|j| j.get(&format!("full_sim/tiny_2ms/{}", arch.slug())))
-            .and_then(|row| row.get("rate_per_sec"))
-            .and_then(|r| r.as_f64());
-        if let Some(old_rate) = old {
-            println!(
-                "  -> {} full-sim speedup over recorded baseline: {:.2}x\n",
-                arch.slug(),
-                m.rate_per_sec / old_rate
-            );
-        }
-        results.push(m);
+        results.push(full_sim_rate(arch));
     }
 
     // Headline numbers: the churn-workload speedup the calendar overhaul
@@ -148,5 +124,5 @@ fn main() {
     }
 
     let extra_refs: Vec<(&str, f64)> = extra.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    write_json_merged(&json_path, &results, &extra_refs);
+    write_json(&repo_root().join("BENCH_kernel.json"), &results, &extra_refs);
 }

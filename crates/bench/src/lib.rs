@@ -25,6 +25,7 @@
 
 use dqos_core::Architecture;
 use dqos_netsim::{run_one, RunSummary, SimConfig};
+use dqos_sim_core::{default_workers, par_map};
 use dqos_stats::{Json, Report};
 use dqos_topology::ClosParams;
 use std::collections::hash_map::DefaultHasher;
@@ -158,19 +159,23 @@ pub fn run_cached(env: &BenchEnv, cfg: SimConfig) -> (Report, RunSummary) {
     pair
 }
 
-/// Run the full figure sweep: every architecture at every load.
-/// Returns `(arch, load, report, summary)` tuples in deterministic order.
+/// Run the full figure sweep: every architecture at every load, the
+/// points spread over the host's cores ([`par_map`]; each point is one
+/// independent, deterministic run, read from or written to the cache).
+/// Returns `(arch, load, report, summary)` tuples in deterministic
+/// order: architecture-major, loads as given.
 pub fn run_sweep(env: &BenchEnv) -> Vec<(Architecture, f64, Report, RunSummary)> {
-    let mut out = Vec::new();
-    for &arch in &Architecture::ALL {
-        for &load in &env.loads {
-            eprintln!("  running {} @ {:.0}% ...", arch.label(), load * 100.0);
-            let (report, summary) = run_cached(env, env.config(arch, load));
-            assert_eq!(summary.out_of_order, 0, "in-order guarantee violated");
-            out.push((arch, load, report, summary));
-        }
-    }
-    out
+    let points: Vec<(Architecture, f64)> = Architecture::ALL
+        .iter()
+        .flat_map(|&arch| env.loads.iter().map(move |&load| (arch, load)))
+        .collect();
+    let workers = default_workers(points.len());
+    par_map(points, workers, |(arch, load)| {
+        eprintln!("  running {} @ {:.0}% ...", arch.label(), load * 100.0);
+        let (report, summary) = run_cached(env, env.config(arch, load));
+        assert_eq!(summary.out_of_order, 0, "in-order guarantee violated");
+        (arch, load, report, summary)
+    })
 }
 
 /// Print a `load × architecture` series table, and mirror it as a
@@ -327,22 +332,9 @@ pub mod harness {
 
     /// Write measurements (plus extra scalar entries) as a JSON object to
     /// `path`, one `name -> {ns_per_elem, rate_per_sec, elements}` entry
-    /// per measurement.
+    /// per measurement. The file is rewritten whole: git holds its
+    /// history.
     pub fn write_json(path: &std::path::Path, ms: &[Measurement], extra: &[(&str, f64)]) {
-        use dqos_stats::Json;
-        let extra: Vec<(&str, Json)> =
-            extra.iter().map(|(k, v)| (*k, Json::Float(*v))).collect();
-        write_json_values(path, ms, &extra);
-    }
-
-    /// [`write_json`] with arbitrary JSON scalars in the extra entries
-    /// (e.g. the `speedup_valid_workers_{w}` booleans of the scaling
-    /// bench).
-    pub fn write_json_values(
-        path: &std::path::Path,
-        ms: &[Measurement],
-        extra: &[(&str, dqos_stats::Json)],
-    ) {
         use dqos_stats::Json;
         let mut fields: Vec<(&str, Json)> = ms
             .iter()
@@ -357,53 +349,8 @@ pub mod harness {
                 )
             })
             .collect();
-        for (k, v) in extra {
-            fields.push((k, v.clone()));
-        }
+        fields.extend(extra.iter().map(|(k, v)| (*k, Json::Float(*v))));
         let doc = Json::obj(fields).to_string_pretty();
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("wrote {}", path.display());
-        }
-    }
-
-    /// Like [`write_json`], but entries already present in `path` that
-    /// this run did not re-measure survive verbatim. The file thereby
-    /// accumulates history — e.g. the pre-optimisation `full_sim/...`
-    /// rows stay on record next to the current `fullsim/...` rows —
-    /// instead of being clobbered by every rerun.
-    pub fn write_json_merged(path: &std::path::Path, ms: &[Measurement], extra: &[(&str, f64)]) {
-        use dqos_stats::Json;
-        let mut fields: Vec<(String, Json)> = match std::fs::read_to_string(path)
-            .ok()
-            .and_then(|s| Json::parse(&s).ok())
-        {
-            Some(Json::Obj(pairs)) => pairs,
-            _ => Vec::new(),
-        };
-        fn set(fields: &mut Vec<(String, Json)>, k: &str, v: Json) {
-            if let Some(slot) = fields.iter_mut().find(|(key, _)| key == k) {
-                slot.1 = v;
-            } else {
-                fields.push((k.to_string(), v));
-            }
-        }
-        for m in ms {
-            set(
-                &mut fields,
-                &m.name,
-                Json::obj(vec![
-                    ("ns_per_elem", Json::Float(m.ns_per_elem)),
-                    ("rate_per_sec", Json::Float(m.rate_per_sec)),
-                    ("elements", Json::Int(m.elements as i128)),
-                ]),
-            );
-        }
-        for (k, v) in extra {
-            set(&mut fields, k, Json::Float(*v));
-        }
-        let doc = Json::Obj(fields).to_string_pretty();
         if let Err(e) = std::fs::write(path, doc) {
             eprintln!("warning: could not write {}: {e}", path.display());
         } else {

@@ -25,8 +25,7 @@
 //! * [`model`] / [`action`] — the component contract: every network
 //!   element is a [`NodeModel`](model::NodeModel) state machine that
 //!   consumes typed events and emits [`NodeAction`]s for the runtime to
-//!   schedule; the partitioned executor in `dqos-sim-core` can then
-//!   place any node in any partition.
+//!   schedule.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,8 +5,7 @@
 //! event at a node-local timestamp and receives back a typed effect —
 //! usually a list of [`NodeAction`]s to turn into scheduled events.
 //! Models never see the event loop, the topology wiring, or each other;
-//! that is what keeps them unit-testable in isolation and lets the
-//! partitioned runtime place any node in any partition.
+//! that is what keeps them unit-testable in isolation.
 //!
 //! The trait is deliberately minimal. Events and effects are associated
 //! types rather than one grand enum so each model keeps its natural

@@ -81,7 +81,7 @@ pub struct Packet {
 /// reads, and nothing else.
 ///
 /// The rest of the [`Packet`] (its interned route and stats tags)
-/// lives in the owning partition's struct-of-arrays arena from
+/// lives in the simulator's struct-of-arrays arena from
 /// stamping to delivery; queues, crossbars, and transmitters move this
 /// 40-byte token instead. `slot` is the arena handle; the cold fields
 /// (route, message tag, flow) are fetched through it only at hop
@@ -101,7 +101,7 @@ pub struct PktTok {
     /// "immediately eligible" (an `eligible > now` test is then never
     /// true, matching the `Option::None` semantics of [`Packet`]).
     pub eligible: SimTime,
-    /// Arena slot holding the full [`Packet`] in the owning partition.
+    /// Arena slot holding the full [`Packet`].
     pub slot: u32,
     /// Length in bytes (also serialisation nanoseconds at 8 Gb/s).
     pub len: u32,

@@ -24,17 +24,14 @@
 //! dedicated SplitMix64 streams seeded from the plan — one stream **per
 //! (link, impairment kind)**, so the roll sequence a link sees is a pure
 //! function of the plan and of how many packets crossed *that* link, not
-//! of how traffic on unrelated links interleaved with it. That is what
-//! lets the partitioned runtime clone the table into every partition
-//! (each link's rolls happen at exactly one node) and still produce
-//! bit-identical results to the serial oracle; a fault run is
-//! bit-reproducible for a fixed (config seed, plan) pair, and an empty
-//! plan draws nothing and perturbs nothing.
+//! of how traffic on unrelated links interleaved with it (each link's
+//! rolls happen at exactly one node). A fault run is bit-reproducible
+//! for a fixed (config seed, plan) pair, and an empty plan draws nothing
+//! and perturbs nothing.
 //!
-//! Mutable link up/down state lives in a separate [`LinkState`] so the
-//! simulator can share one authority for "is this link failed" across
-//! partitions (mutated only at epoch fences) while the stochastic tables
-//! stay cloned and lock-free. The timed schedule itself is driven
+//! Mutable link up/down state lives in a separate [`LinkState`], mutated
+//! only at the plan's timed instants, apart from the stochastic tables.
+//! The timed schedule itself is driven
 //! through [`FaultInjector`], the fault subsystem's
 //! [`NodeModel`](dqos_core::NodeModel).
 
@@ -307,9 +304,8 @@ pub struct CompiledTimed {
     pub down: bool,
 }
 
-/// Mutable link up/down state, separated from the stochastic tables so
-/// one authority can be shared across partitions (mutated only at epoch
-/// fences) while [`CompiledFaults`] is cloned per partition.
+/// Mutable link up/down state, separated from the stochastic tables of
+/// [`CompiledFaults`] (mutated only at the plan's timed instants).
 #[derive(Debug, Clone, Default)]
 pub struct LinkState {
     /// Per-link count of active down-causes: a link can be covered by
@@ -364,9 +360,8 @@ impl LinkState {
 /// The timed-fault schedule as a [`NodeModel`]: event `idx` selects the
 /// `idx`-th entry of the compiled schedule, the effect is the set of
 /// links whose state changed plus their new state. The runtime drives
-/// one injector per simulation (at epoch fences, all partitions
-/// quiescent) and fans the changed links out to routing, admission, and
-/// the per-link down flags.
+/// one injector per simulation (at the executor's epochs) and fans the
+/// changed links out to routing, admission, and the per-link down flags.
 #[derive(Debug)]
 pub struct FaultInjector {
     timed: Vec<CompiledTimed>,
@@ -448,8 +443,8 @@ impl CompiledFaults {
     /// Apply timed fault `idx` to the *internal* link state, returning
     /// the links whose state actually changed and the new state (`true`
     /// = now down). See [`LinkState::apply_timed`]. Simulations that
-    /// share link state across partitions keep their own [`LinkState`]
-    /// (or a [`FaultInjector`]) instead of calling this.
+    /// keep link state elsewhere drive a [`FaultInjector`] instead of
+    /// calling this.
     pub fn apply_timed(&mut self, idx: usize) -> (Vec<LinkId>, bool) {
         let t = self.timed[idx].clone();
         self.state.apply_timed(&t)
@@ -736,9 +731,7 @@ mod tests {
     #[test]
     fn rolls_are_interleaving_independent_across_links() {
         // The per-(link, kind) streams mean the outcome sequence a link
-        // sees is independent of traffic on any other link — the
-        // property the partitioned runtime relies on when it clones the
-        // table into every partition.
+        // sees is independent of traffic on any other link.
         let net = net();
         let la = net.host_out_link(HostId(0)).link;
         let lb = net.host_out_link(HostId(1)).link;

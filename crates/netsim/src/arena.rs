@@ -1,5 +1,5 @@
-//! Paged struct-of-arrays packet arena: per-partition resident storage
-//! for every packet between stamping and delivery.
+//! Paged struct-of-arrays packet arena: resident storage for every
+//! packet between stamping and delivery.
 //!
 //! The hot path moves 40-byte [`PktTok`] tokens (see `dqos_core`); the
 //! rest of the [`Packet`] parks here the whole time. Each page is laid
@@ -105,7 +105,7 @@ fn split(slot: u32) -> (usize, usize) {
     ((slot >> PAGE_SHIFT) as usize, (slot & PAGE_MASK) as usize)
 }
 
-/// The paged struct-of-arrays arena. One per [`crate::runtime::Partition`].
+/// The paged struct-of-arrays arena. One per [`crate::runtime::Sim`].
 #[derive(Debug)]
 pub(crate) struct SoaArena {
     pages: Vec<Box<Page>>,

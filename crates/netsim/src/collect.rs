@@ -154,39 +154,6 @@ impl Collector {
             .record(class, lat);
     }
 
-    /// Fold another collector (a parallel partition's) into this one.
-    ///
-    /// Class histograms and meters are integer accumulators, so the sum
-    /// over partitions equals the serial totals exactly. Per-flow jitter
-    /// slots keep their place (flow ids are global): each flow is
-    /// terminated by exactly one host, hence one partition, so slots
-    /// never collide (a collision panics) and the merged pages hold
-    /// exactly the serial slots — [`Collector::finish`] then folds them
-    /// in the same flow-id order, reproducing the serial report bit for
-    /// bit.
-    pub fn merge(&mut self, other: Collector) {
-        debug_assert!(self.start == other.start && self.end == other.end, "same window");
-        for (a, b) in self.classes.iter_mut().zip(&other.classes) {
-            a.merge(b);
-        }
-        if self.flow_jitter.len() < other.flow_jitter.len() {
-            self.flow_jitter.resize_with(other.flow_jitter.len(), || None);
-        }
-        for (mine, theirs) in self.flow_jitter.iter_mut().zip(other.flow_jitter) {
-            let Some(theirs) = theirs else { continue };
-            let Some(mine) = mine else {
-                *mine = Some(theirs);
-                continue;
-            };
-            for (slot, entry) in mine.iter_mut().zip(theirs.iter()) {
-                if entry.n > 0 {
-                    assert_eq!(slot.n, 0, "a flow completed messages in two partitions");
-                    *slot = *entry;
-                }
-            }
-        }
-    }
-
     /// Finish: merge per-flow jitter into class aggregates and render the
     /// report.
     pub fn finish(mut self, architecture: &str, load: f64) -> Report {
@@ -257,27 +224,6 @@ mod tests {
         let mm = r.class("Multimedia").unwrap();
         assert_eq!(mm.jitter.mean_abs_delta(), 0.0, "cross-flow deltas must not count");
         assert_eq!(mm.jitter.count(), 20);
-    }
-
-    /// Flows spread over several jitter pages, split between two
-    /// collectors the way partitions split them (each flow in exactly
-    /// one), merge to exactly the report one collector makes.
-    #[test]
-    fn paged_jitter_merges_to_the_single_collector_report() {
-        let flows = [0u32, 1, 511, 512, 1023, 5_000, 129_000];
-        let (mut one, mut a, mut b) = (collector(), collector(), collector());
-        let mut rng = dqos_sim_core::SimRng::new(0x717);
-        for k in 0..400u64 {
-            let f = flows[rng.index(flows.len())];
-            let class = TrafficClass::ALL[f as usize % NUM_CLASSES];
-            let t = SimTime::from_us(1000 + k);
-            let created = SimTime::from_ns(rng.range_u64(0, 900_000));
-            one.message_completed(class, FlowId(f), created, t);
-            let part = if f % 3 == 0 { &mut a } else { &mut b };
-            part.message_completed(class, FlowId(f), created, t);
-        }
-        b.merge(a);
-        assert_eq!(b.finish("x", 1.0).to_json(), one.finish("x", 1.0).to_json());
     }
 
     /// The compact slot records with the tracker's arithmetic: over

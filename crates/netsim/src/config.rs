@@ -87,11 +87,11 @@ pub struct SimConfig {
     /// Background 1/6 of link bandwidth. A class offering more than its
     /// record falls behind its virtual clock and yields to the other.
     pub be_weights: (f64, f64),
-    /// Worker threads for the partitioned runtime. `1` (the default)
-    /// runs the serial calendar loop; `n > 1` runs the conservative
-    /// parallel executor over `n` partitions, whose reports are
-    /// bit-identical to the serial ones (the count is clamped to the
-    /// number of leaf switches — partitioning is by leaf group).
+    /// Threads per run. The only accepted value is `1` (the default):
+    /// a run is one event loop, and any other value makes
+    /// [`crate::Network::try_run`] return [`crate::SimError::Config`].
+    /// Independent runs parallelise across configurations instead
+    /// ([`dqos_sim_core::par_map`]).
     pub workers: usize,
     /// Flight-recorder settings ([`TraceSettings::OFF`] by default).
     /// Enabling tracing never changes simulation results — only whether

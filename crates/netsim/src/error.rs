@@ -162,10 +162,8 @@ pub enum SimError {
         /// The output port with no downstream.
         port: Port,
     },
-    /// The run configuration cannot execute — e.g. a zero-lookahead
-    /// partition edge, which the free-running executor rejects up front
-    /// because its safe-time ratchet could never advance past such a
-    /// neighbour (erroring beats deadlocking).
+    /// The run configuration cannot execute — e.g.
+    /// [`crate::SimConfig::workers`] other than 1.
     Config {
         /// Human-readable description of the rejected configuration.
         detail: String,

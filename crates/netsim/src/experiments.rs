@@ -1,115 +1,17 @@
-//! Experiment harness: load sweeps over architectures.
+//! Experiment harness: one (architecture, load) point of the paper's
+//! sweeps.
 //!
-//! The paper's figures sweep injected load 10 %–100 % for the four
-//! architectures. Each (architecture, load) point is one independent,
-//! deterministic simulation; the sweep runs them on a scoped worker
-//! pool ([`dqos_sim_core::par_map`]) — determinism is unaffected, since
-//! parallelism is across runs and results are returned in input order.
+//! Each point is one independent, deterministic simulation. Sweeps
+//! (the figure benches' `dqos_bench::run_sweep`, `examples/paper_scale.rs`)
+//! run points on a scoped worker pool ([`dqos_sim_core::par_map`]);
+//! determinism is unaffected, since parallelism is across runs and
+//! results come back in input order.
 
 use crate::config::SimConfig;
 use crate::network::{Network, RunSummary};
-use dqos_core::Architecture;
-use dqos_sim_core::{default_workers, par_map};
 use dqos_stats::Report;
-
-/// One (load, results) point of a sweep.
-#[derive(Debug, Clone)]
-pub struct SweepPoint {
-    /// Offered load fraction.
-    pub load: f64,
-    /// Measurement report.
-    pub report: Report,
-    /// Correctness diagnostics.
-    pub summary: RunSummary,
-}
-
-/// One architecture's sweep.
-#[derive(Debug, Clone)]
-pub struct ExperimentResult {
-    /// The architecture.
-    pub arch: Architecture,
-    /// Points in ascending load order.
-    pub points: Vec<SweepPoint>,
-}
 
 /// Run one configuration to completion.
 pub fn run_one(cfg: SimConfig) -> (Report, RunSummary) {
     Network::new(cfg).run()
-}
-
-/// Sweep `loads` × `archs` in parallel. `make` builds the config for an
-/// (architecture, load) pair — typically `SimConfig::bench` or
-/// `SimConfig::paper` plus tweaks.
-pub fn run_load_sweep(
-    archs: &[Architecture],
-    loads: &[f64],
-    make: impl Fn(Architecture, f64) -> SimConfig + Sync,
-) -> Vec<ExperimentResult> {
-    let jobs: Vec<(Architecture, f64)> = archs
-        .iter()
-        .flat_map(|&a| loads.iter().map(move |&l| (a, l)))
-        .collect();
-    let workers = default_workers(jobs.len());
-    let mut results: Vec<(Architecture, f64, Report, RunSummary)> =
-        par_map(jobs, workers, |(arch, load)| {
-            let (report, summary) = run_one(make(arch, load));
-            (arch, load, report, summary)
-        });
-    // Group back per architecture, ascending load.
-    results.sort_by(|a, b| (a.0.slug().cmp(b.0.slug())).then(a.1.total_cmp(&b.1)));
-    archs
-        .iter()
-        .map(|&arch| ExperimentResult {
-            arch,
-            points: {
-                let mut pts: Vec<SweepPoint> = results
-                    .iter()
-                    .filter(|r| r.0 == arch)
-                    .map(|r| SweepPoint { load: r.1, report: r.2.clone(), summary: r.3 })
-                    .collect();
-                pts.sort_by(|a, b| a.load.total_cmp(&b.load));
-                pts
-            },
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dqos_sim_core::SimDuration;
-
-    fn tiny(arch: Architecture, load: f64) -> SimConfig {
-        let mut c = SimConfig::tiny(arch, load);
-        c.warmup = SimDuration::from_us(100);
-        c.measure = SimDuration::from_ms(1);
-        c
-    }
-
-    #[test]
-    fn sweep_is_grouped_and_ordered() {
-        let archs = [Architecture::Traditional2Vc, Architecture::Advanced2Vc];
-        let loads = [0.3, 0.1];
-        let res = run_load_sweep(&archs, &loads, tiny);
-        assert_eq!(res.len(), 2);
-        assert_eq!(res[0].arch, Architecture::Traditional2Vc);
-        assert_eq!(res[1].arch, Architecture::Advanced2Vc);
-        for r in &res {
-            assert_eq!(r.points.len(), 2);
-            assert!(r.points[0].load < r.points[1].load);
-            for p in &r.points {
-                assert_eq!(p.summary.out_of_order, 0);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        let archs = [Architecture::Ideal];
-        let loads = [0.2];
-        let par = run_load_sweep(&archs, &loads, tiny);
-        let (ser_report, ser_summary) = run_one(tiny(Architecture::Ideal, 0.2));
-        assert_eq!(par[0].points[0].summary.events, ser_summary.events);
-        assert_eq!(par[0].points[0].report.to_json(), ser_report.to_json());
-    }
 }

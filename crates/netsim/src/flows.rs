@@ -19,10 +19,7 @@
 //! fixed route, so the appendix's in-order guarantee applies to it) and
 //! one per video stream.
 //!
-//! ## Layout and replication
-//!
-//! The table is built for the partitioned runtime, in which every
-//! partition owns a replica (see `crate::runtime`):
+//! ## Layout
 //!
 //! * **Flow ids are static arithmetic**, not handed out on first use:
 //!   video streams take `[0, V)` ordered by `(dst, src, stream)`, and
@@ -44,11 +41,9 @@
 //!   fabric all stamp in one mode, so a [`VideoFlow`] keeps only its
 //!   previous deadline beside its id, destination, choice and
 //!   reservation flag (24 bytes).
-//! * **No locks.** A replica is touched only by its own partition's
-//!   worker, so the table is plain data: stamping takes `&mut self`,
-//!   paths and ids are plain reads, and topology-wide mutation
-//!   ([`FlowTable::fail_links`] / [`FlowTable::restore_links`]) runs on
-//!   each replica at the same epoch of its local timeline.
+//! * **Plain data.** Stamping takes `&mut self`, paths and ids are
+//!   plain reads, and topology-wide mutation ([`FlowTable::fail_links`]
+//!   / [`FlowTable::restore_links`]) runs at the fault plan's epochs.
 
 use dqos_core::{
     AdmissionController, Architecture, DeadlineMode, FlowId, Stamper, StampedTimes, TrafficClass,
@@ -130,7 +125,6 @@ pub struct AdmissionDiag {
 }
 
 /// Per-host flow state.
-#[derive(Clone)]
 pub struct HostFlows {
     /// Per-stream video flows, indexed by stream id.
     pub video: Vec<VideoFlow>,
@@ -140,12 +134,7 @@ pub struct HostFlows {
     pub best_effort: [Stamper; 2],
 }
 
-/// The fleet's flow table (module docs). Cloning it makes a replica:
-/// the free-running executor gives every partition its own (epoch
-/// mutations — link failures and repairs — are deterministic functions
-/// of the plan and the ledger, so replicas that apply the same epochs
-/// stay identical).
-#[derive(Clone)]
+/// The fleet's flow table (module docs).
 pub struct FlowTable {
     n_hosts: u32,
     /// Total video streams; aggregated ids start here.

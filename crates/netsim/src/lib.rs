@@ -13,21 +13,18 @@
 //!   control and the two weighted best-effort classes.
 //! * [`collect`] — the statistics collector feeding `dqos-stats`,
 //!   gated on the measurement window.
-//! * [`network`] — the [`Network`] assembly: topology wiring plus the
-//!   executor choice ([`SimConfig::workers`]). Deadlines travel between
-//!   clock domains as TTDs exactly as §3.3 prescribes, so the
-//!   simulation is invariant to arbitrary per-node clock offsets (an
-//!   integration test asserts bit-equality).
-//! * `runtime` (private) — the partitioned component runtime: node
-//!   models wrapped into [`dqos_sim_core::PartWorld`] partitions driven
-//!   serially or by the conservative parallel executor, bit-identically.
-//! * `arena` (private) — the struct-of-arrays packet arena each
-//!   partition parks full packets in while 40-byte tokens ride the hot
-//!   path (see DESIGN.md §10).
+//! * [`network`] — the [`Network`] assembly: topology wiring. Deadlines
+//!   travel between clock domains as TTDs exactly as §3.3 prescribes,
+//!   so the simulation is invariant to arbitrary per-node clock offsets
+//!   (an integration test asserts bit-equality).
+//! * `runtime` (private) — the component runtime: node models wrapped
+//!   into one [`dqos_sim_core::World`] driven by the calendar loop.
+//! * `arena` (private) — the struct-of-arrays packet arena full packets
+//!   park in while 40-byte tokens ride the hot path (see DESIGN.md §10).
 //! * [`presets`] — shared example/experiment configuration recipes.
-//! * [`experiments`] — the Figure 2/3/4 and Table 1 sweeps, run in
-//!   parallel with rayon (parallelism is across independent simulations;
-//!   each run is deterministic regardless of worker count).
+//! * [`experiments`] — [`run_one`], one configuration to completion.
+//!   Sweeps run independent configurations in parallel with
+//!   [`dqos_sim_core::par_map`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,7 +43,7 @@ pub use collect::Collector;
 pub use config::{ClockOffsets, SimConfig, VideoDeadlines};
 pub use error::{SimError, StallSnapshot, Violation};
 pub use flows::{AdmissionDiag, FlowTable, RerouteStats};
-pub use experiments::{run_load_sweep, run_one, ExperimentResult, SweepPoint};
+pub use experiments::run_one;
 pub use network::{Network, RunSummary};
 pub use runtime::CALENDAR_ENTRY_BYTES;
 pub use dqos_trace::{Trace, TraceSettings};

@@ -1,11 +1,8 @@
-//! Network assembly: topology wiring plus an executor choice.
+//! Network assembly: topology wiring.
 //!
 //! [`Network`] builds every model instance — switches, NICs, sinks,
-//! traffic sources, the flow table — wires them into partitions
-//! ([`crate::runtime`]) and hands the partitions to
-//! [`dqos_sim_core::execute`]: one partition runs the serial calendar
-//! loop, several run the conservative parallel executor
-//! ([`SimConfig::workers`]), with bit-identical reports either way.
+//! traffic sources, the flow table — wires them into one world
+//! ([`crate::runtime`]) and hands it to [`dqos_sim_core::execute`].
 //! Clock domains are honoured throughout: models see their *local*
 //! time, deadlines cross links as TTDs (§3.3), and only the statistics
 //! collector reads the hidden global clock.
@@ -14,14 +11,13 @@ use crate::collect::Collector;
 use crate::config::{ClockOffsets, SimConfig};
 use crate::error::{SimError, Violation};
 use crate::flows::{FlowTable, RerouteStats};
-use crate::runtime::{self, Feeder, HostState, PartTotals, Partition, Shared, SwitchState};
+use crate::runtime::{Feeder, HostState, Shared, Sim, SwitchState};
 use crate::arena::SoaArena;
 use dqos_core::{ClockDomain, TrafficClass, NUM_CLASSES};
 use dqos_endhost::{Nic, NicConfig, Sink};
 use dqos_faults::{CompiledFaults, FaultPlan};
 use dqos_sim_core::{
-    execute, ExecConfig, ExecEdge, ExecError, ExecResult, SimDuration, SimRng, SimTime,
-    SplitMix64, SpscRing,
+    execute, ExecConfig, ExecError, ExecResult, SimDuration, SimRng, SimTime, SplitMix64,
 };
 use dqos_stats::{FaultClassLoss, FaultReport, Report, StageSlack, TraceClassSlack, TraceReport};
 use dqos_switch::{Switch, SwitchConfig};
@@ -29,26 +25,11 @@ use dqos_topology::{FoldedClos, HostId, NodeId, Port, SwitchId};
 use dqos_trace::{Trace, Tracer};
 use dqos_traffic::{build_host_mix, HostSources};
 
-/// Watchdog limit on events processed at a single timestamp (per
-/// partition): a healthy run's same-tick bursts are bounded by the port
-/// count, so crossing this means a node is rescheduling work without
-/// advancing time.
+/// Watchdog limit on events processed at a single timestamp: a
+/// healthy run's same-tick bursts are bounded by the port count, so
+/// crossing this means a node is rescheduling work without advancing
+/// time.
 const SAME_TICK_LIMIT: u64 = 10_000_000;
-
-/// Word capacity of each executor event ring. A partition-crossing
-/// event record is 5 words (length prefix, timestamp, key, node, one
-/// message word), so one ring holds ~1 600 in-flight crossings before
-/// the producer backpressures — far beyond any leaf↔spine burst the
-/// credit loop admits.
-const EVENT_RING_WORDS: usize = 1 << 13;
-
-/// Word capacity of each packet lane. A lane record is 12 words
-/// (length prefix, lane sequence, 10 packet words), so a lane holds
-/// ~5 400 packets — comfortably above the ~1 600 packet-carrying
-/// records its event ring can hold, which bounds lane occupancy (see
-/// `crate::runtime` module docs). The sizing keeps `wire()`'s
-/// lane-push infallible.
-const LANE_WORDS: usize = 1 << 16;
 
 /// End-of-run diagnostics (the correctness side of a run; the
 /// performance side is the [`Report`]).
@@ -77,30 +58,14 @@ pub struct RunSummary {
     pub admission_fallbacks: u32,
     /// Messages handed to NICs by the generators.
     pub offered_messages: u64,
-    /// Largest per-partition arena high-water mark: the most packets
-    /// any single partition's struct-of-arrays arena ever held at once
-    /// (a packet is resident from stamping to delivery, so queued and
-    /// in-flight packets count alike). Explicitly a **per-partition
-    /// maximum** — the JSON form carries an `aggregation:
-    /// "per-partition-max"` marker plus the partition count — because
-    /// per-partition peaks occur at different instants and a sum would
-    /// not be a meaningful global footprint. It is the only
-    /// [`RunSummary`] field (besides `partitions`) whose value depends
-    /// on the worker count: a partition-crossing packet leaves the
-    /// sender's arena and re-enters the receiver's, so the peaks shift
-    /// with the partitioning.
+    /// Arena high-water mark: the most packets the struct-of-arrays
+    /// arena ever held at once (a packet is resident from stamping to
+    /// delivery, so queued and in-flight packets count alike).
     pub peak_in_flight: u64,
-    /// Largest per-partition calendar high-water mark: the most events
-    /// any one partition's calendar held pending at once; times
+    /// Calendar high-water mark: the most events pending at once; times
     /// [`crate::CALENDAR_ENTRY_BYTES`], the calendar's storage at its
-    /// peak. Diagnostic only, and a **per-partition maximum** with the
-    /// same JSON aggregation marker as `peak_in_flight`. With several
-    /// partitions it also depends on when the executor drained its
-    /// rings, so parallel runs need not reproduce it.
+    /// peak. Diagnostic only.
     pub peak_pending_events: u64,
-    /// How many partitions the run used (the aggregation width of
-    /// `peak_in_flight` and `peak_pending_events`).
-    pub partitions: u64,
     /// Packets dropped at failed or lossy links (fault injection only).
     pub dropped_packets: u64,
     /// Packets discarded at the destination as corrupted (fault
@@ -198,24 +163,8 @@ impl RunSummary {
             ("order_errors", Json::Int(self.order_errors as i128)),
             ("admission_fallbacks", Json::Int(self.admission_fallbacks as i128)),
             ("offered_messages", Json::Int(self.offered_messages as i128)),
-            (
-                // Structured so no reader can mistake the per-partition
-                // maximum for a run-wide sum (the PR-3 caveat).
-                "peak_in_flight",
-                Json::obj(vec![
-                    ("aggregation", Json::Str("per-partition-max".into())),
-                    ("partitions", Json::Int(self.partitions as i128)),
-                    ("max", Json::Int(self.peak_in_flight as i128)),
-                ]),
-            ),
-            (
-                "peak_pending_events",
-                Json::obj(vec![
-                    ("aggregation", Json::Str("per-partition-max".into())),
-                    ("partitions", Json::Int(self.partitions as i128)),
-                    ("max", Json::Int(self.peak_pending_events as i128)),
-                ]),
-            ),
+            ("peak_in_flight", Json::Int(self.peak_in_flight as i128)),
+            ("peak_pending_events", Json::Int(self.peak_pending_events as i128)),
         ];
         for (k, v) in [
             ("dropped_packets", self.dropped_packets),
@@ -240,27 +189,6 @@ impl RunSummary {
         };
         // Fault counters are optional: absent means zero.
         let opt = |k: &str| -> u64 { j.get(k).and_then(|v| v.as_u64()).unwrap_or(0) };
-        // New documents carry a structured per-partition-max object;
-        // pre-refactor caches carried a bare (summed) integer, read
-        // back as a single-partition peak.
-        let (peak, partitions) = match j.get("peak_in_flight") {
-            Some(p) => match p.as_u64() {
-                Some(v) => (v, 1),
-                None => (
-                    p.get("max")
-                        .and_then(|v| v.as_u64())
-                        .ok_or("peak_in_flight object lacks max")?,
-                    p.get("partitions").and_then(|v| v.as_u64()).unwrap_or(1),
-                ),
-            },
-            None => return Err("missing field peak_in_flight".into()),
-        };
-        // Documents written before the calendar diagnostic read as 0.
-        let peak_pending = j
-            .get("peak_pending_events")
-            .and_then(|p| p.get("max"))
-            .and_then(|v| v.as_u64())
-            .unwrap_or(0);
         Ok(RunSummary {
             events: u("events")?,
             injected_packets: u("injected_packets")?,
@@ -272,9 +200,8 @@ impl RunSummary {
             order_errors: u("order_errors")?,
             admission_fallbacks: u("admission_fallbacks")? as u32,
             offered_messages: u("offered_messages")?,
-            peak_in_flight: peak,
-            peak_pending_events: peak_pending,
-            partitions,
+            peak_in_flight: u("peak_in_flight")?,
+            peak_pending_events: u("peak_pending_events")?,
             dropped_packets: opt("dropped_packets"),
             corrupted_packets: opt("corrupted_packets"),
             credits_lost: opt("credits_lost"),
@@ -391,7 +318,7 @@ impl Network {
             })
             .collect();
 
-        // NICs. (Sinks are built per partition, pre-sized from the flow
+        // NICs. (Sinks are built with the world, pre-sized from the flow
         // table's dense id bands.)
         let nics: Vec<Nic> = (0..n_hosts)
             .map(|_| {
@@ -455,7 +382,7 @@ impl Network {
     /// scheduled, no RNG is drawn, no clock is skewed — so the run is
     /// bit-identical to [`Network::new`] with the same config. A
     /// non-empty plan is itself deterministic: same config + same plan ⇒
-    /// same run, bit for bit, at any worker count.
+    /// same run, bit for bit.
     pub fn with_faults(cfg: SimConfig, plan: &FaultPlan) -> Self {
         let mut net = Network::new(cfg);
         if plan.is_empty() {
@@ -477,50 +404,30 @@ impl Network {
         net
     }
 
-    /// Partition the models, run them through the executor, and hand
-    /// the shared wiring and the executor's result to `done`.
+    /// Assemble the world, run it through the executor, and hand the
+    /// shared wiring, the world and the executor's result to `done`.
+    /// Timed fault entries become executor epochs. The world borrows the
+    /// [`Shared`] state, which lives in this frame until `done` returns.
     ///
-    /// Hosts are co-partitioned with their leaf switch; leaves and
-    /// spines are dealt round-robin over the workers. The only
-    /// cross-partition messages therefore ride leaf↔spine wires, whose
-    /// smallest latency (wire propagation vs. credit return) is the
-    /// executor's lookahead. Timed fault entries become epoch fences.
-    /// The partitions borrow the [`Shared`] state, which lives in this
-    /// frame until `done` returns.
+    /// [`SimConfig::workers`] must be 1; any other value is a
+    /// [`SimError::Config`].
     fn execute_with<R>(
         self,
         horizon: Option<SimTime>,
-        done: impl for<'s> FnOnce(&'s Shared, ExecResult<Partition<'s>>) -> R,
-    ) -> R {
+        done: impl for<'s> FnOnce(&'s Shared, Sim<'s>, ExecResult<SimError>) -> R,
+    ) -> Result<R, SimError> {
         let cfg = self.cfg;
+        if cfg.workers != 1 {
+            return Err(SimError::Config {
+                detail: format!(
+                    "workers = {}: the simulator runs one event loop per run, so workers must \
+                     be 1 (run independent configurations in parallel instead)",
+                    cfg.workers
+                ),
+            });
+        }
         let n_hosts = self.topo.n_hosts();
-        let n_switches = self.topo.n_switches();
-        let n_leaves = self.topo.params().leaves as u32;
         let n_links = self.topo.n_links() as usize;
-        let w = cfg.workers.clamp(1, n_leaves as usize) as u32;
-
-        let mut part_of = vec![0u32; (n_hosts + n_switches) as usize];
-        for s in 0..n_switches {
-            let sid = SwitchId(s);
-            part_of[(n_hosts + s) as usize] =
-                if self.topo.is_leaf(sid) { s % w } else { (s - n_leaves) % w };
-        }
-        for h in 0..n_hosts {
-            part_of[h as usize] = part_of[(n_hosts + self.topo.leaf_of(HostId(h)).0) as usize];
-        }
-        let mut local_idx = vec![0u32; (n_hosts + n_switches) as usize];
-        let mut host_count = vec![0u32; w as usize];
-        let mut sw_count = vec![0u32; w as usize];
-        for h in 0..n_hosts as usize {
-            let p = part_of[h] as usize;
-            local_idx[h] = host_count[p];
-            host_count[p] += 1;
-        }
-        for s in 0..n_switches as usize {
-            let p = part_of[n_hosts as usize + s] as usize;
-            local_idx[n_hosts as usize + s] = sw_count[p];
-            sw_count[p] += 1;
-        }
 
         // Timed faults become executor epochs; entries sharing an
         // instant form one epoch (the executor wants strictly ascending
@@ -534,56 +441,6 @@ impl Network {
         }
         let epochs: Vec<SimTime> = epoch_groups.iter().map(|(t, _)| *t).collect();
 
-        // The partition graph: a directed edge wherever any wire joins
-        // nodes of two partitions (messages ride the wire one way and
-        // credits the reverse way, so both directions always exist
-        // together). With hosts co-partitioned with their leaf, only
-        // leaf↔spine wires can cross. Every edge's lookahead is the
-        // smaller of wire propagation and credit return — the soonest
-        // any message sent now can take effect on the neighbour.
-        let lookahead = cfg.wire_delay.min(cfg.credit_delay);
-        let mut adjacent = vec![false; (w * w) as usize];
-        let mut mark = |a: u32, b: u32| {
-            if a != b {
-                adjacent[(a * w + b) as usize] = true;
-                adjacent[(b * w + a) as usize] = true;
-            }
-        };
-        for h in 0..n_hosts {
-            let end = self.topo.host_out_link(HostId(h));
-            if let NodeId::Switch(sw) = end.peer {
-                mark(part_of[h as usize], part_of[(n_hosts + sw.0) as usize]);
-            }
-        }
-        for s in 0..n_switches {
-            let sid = SwitchId(s);
-            for p in 0..self.topo.switch_ports(sid) {
-                if let Some(end) = self.topo.switch_out_link(sid, Port(p)) {
-                    let peer = match end.peer {
-                        NodeId::Switch(s2) => n_hosts + s2.0,
-                        NodeId::Host(h2) => h2.0,
-                    };
-                    mark(part_of[(n_hosts + s) as usize], part_of[peer as usize]);
-                }
-            }
-        }
-        let mut edges = Vec::new();
-        let mut lanes = Vec::new();
-        let mut lane_of = vec![vec![None; w as usize]; w as usize];
-        for a in 0..w {
-            for b in 0..w {
-                if adjacent[(a * w + b) as usize] {
-                    edges.push(ExecEdge { from: a, to: b, lookahead });
-                    lane_of[a as usize][b as usize] = Some(lanes.len());
-                    lanes.push(SpscRing::new(LANE_WORDS));
-                }
-            }
-        }
-
-        // One flow-table replica per partition; the last takes the
-        // original rather than a copy.
-        let mut replicas: Vec<FlowTable> = (1..w).map(|_| self.flows.clone()).collect();
-        replicas.push(self.flows);
         let shared = Shared {
             cfg,
             topo: self.topo,
@@ -593,91 +450,76 @@ impl Network {
             host_feed: self.host_feed,
             source_stop: self.source_stop,
             n_hosts,
-            part_of: part_of.clone(),
-            local_idx,
             faults_enabled: self.faults.enabled(),
             epoch_groups,
-            lanes,
-            lane_of,
         };
-
-        let mut parts: Vec<Partition> = (0..w)
-            .zip(replicas)
-            .map(|(p, flows)| Partition {
-                shared: &shared,
-                part: p,
-                host_ids: Vec::new(),
-                switch_ids: Vec::new(),
-                hosts: Vec::new(),
-                switches: Vec::new(),
-                arena: SoaArena::new(),
-                collector: Collector::new(cfg.window_start(), cfg.window_end()),
-                faults: self.faults.clone(),
-                flows,
-                link_down: vec![false; n_links],
-                injector: self.faults.injector(),
-                reroute: RerouteStats::default(),
-                lane_buf: Vec::new(),
-                lane_seq_out: vec![0; w as usize],
-                lane_seq_in: vec![0; w as usize],
-                fault_dropped: [0; NUM_CLASSES],
-                fault_corrupted: [0; NUM_CLASSES],
-                fault_deadline_miss: [0; NUM_CLASSES],
-                credits_lost: 0,
-                offered_messages: 0,
-                last_t: SimTime::ZERO,
-                tracer: Tracer::new(cfg.trace),
-                notes: Vec::new(),
-                act_buf: Vec::new(),
-                tok_buf: Vec::new(),
-                part_buf: Vec::new(),
-                stamp_buf: Vec::new(),
+        let flows = self.flows;
+        let hosts: Vec<HostState> = self
+            .nics
+            .into_iter()
+            .zip(self.sources)
+            .enumerate()
+            .map(|(h, (nic, srcs))| {
+                let sink = Sink::with_bands(&flows.sink_bands(HostId(h as u32)));
+                HostState::new(nic, sink, srcs)
             })
             .collect();
-        for (h, (nic, srcs)) in self.nics.into_iter().zip(self.sources).enumerate() {
-            let p = part_of[h] as usize;
-            let sink = Sink::with_bands(&parts[p].flows.sink_bands(HostId(h as u32)));
-            parts[p].host_ids.push(h as u32);
-            parts[p].hosts.push(HostState::new(nic, sink, srcs));
-        }
-        for (s, sw) in self.switches.into_iter().enumerate() {
-            let p = part_of[n_hosts as usize + s] as usize;
-            let ports = shared.topo.switch_ports(SwitchId(s as u32)) as usize;
-            parts[p].switch_ids.push(s as u32);
-            parts[p].switches.push(SwitchState::new(sw, ports));
-        }
+        let switches: Vec<SwitchState> = self
+            .switches
+            .into_iter()
+            .enumerate()
+            .map(|(s, sw)| {
+                let ports = shared.topo.switch_ports(SwitchId(s as u32)) as usize;
+                SwitchState::new(sw, ports)
+            })
+            .collect();
+        let mut sim = Sim {
+            shared: &shared,
+            hosts,
+            switches,
+            arena: SoaArena::new(),
+            collector: Collector::new(cfg.window_start(), cfg.window_end()),
+            injector: self.faults.injector(),
+            faults: self.faults,
+            flows,
+            link_down: vec![false; n_links],
+            reroute: RerouteStats::default(),
+            fault_dropped: [0; NUM_CLASSES],
+            fault_corrupted: [0; NUM_CLASSES],
+            fault_deadline_miss: [0; NUM_CLASSES],
+            credits_lost: 0,
+            offered_messages: 0,
+            last_t: SimTime::ZERO,
+            tracer: Tracer::new(cfg.trace),
+            notes: Vec::new(),
+            act_buf: Vec::new(),
+            tok_buf: Vec::new(),
+            part_buf: Vec::new(),
+            stamp_buf: Vec::new(),
+        };
         if cfg.trace.enabled {
             // Turn on the in-model note hooks (crossbar grants, pacing
             // promotions); without this the models stay note-free and the
             // runtime hooks alone record the lifecycle skeleton.
-            for p in &mut parts {
-                for hs in &mut p.hosts {
-                    hs.nic.set_tracing(true);
-                }
-                for ss in &mut p.switches {
-                    ss.sw.set_tracing(true);
-                }
+            for hs in &mut sim.hosts {
+                hs.nic.set_tracing(true);
+            }
+            for ss in &mut sim.switches {
+                ss.sw.set_tracing(true);
             }
         }
 
-        let ecfg = ExecConfig {
-            lookahead,
-            edges: Some(edges),
-            ring_words: EVENT_RING_WORDS,
-            epochs,
-            horizon,
-            same_tick_limit: SAME_TICK_LIMIT,
-            part_of,
-        };
-        done(&shared, execute(parts, ecfg))
+        let ecfg = ExecConfig { epochs, horizon, same_tick_limit: SAME_TICK_LIMIT };
+        let res = execute(&mut sim, &ecfg);
+        Ok(done(&shared, sim, res))
     }
 
     /// Run to completion: sources stop at the window end, then the
     /// network drains. Returns the measurement [`Report`] plus the
     /// correctness [`RunSummary`]. Panics on [`SimError`] — the right
-    /// contract for fault-free runs, where any error is a simulator bug;
-    /// fault-injected callers that want to observe failure use
-    /// [`Network::try_run`].
+    /// contract for fault-free runs, where any error is a simulator bug
+    /// or a rejected configuration; fault-injected callers that want to
+    /// observe failure use [`Network::try_run`].
     pub fn run(self) -> (Report, RunSummary) {
         // tidy: allow(no-unwrap) -- run() is the panic-on-error contract by
         // documented design; try_run() is the Result form for fault runs.
@@ -697,10 +539,12 @@ impl Network {
     ///
     /// Two watchdogs guard the run: a same-timestamp event bound
     /// (livelock — time stopped advancing), and a post-drain occupancy
-    /// check (credit deadlock — the calendars are empty but packets are
+    /// check (credit deadlock — the calendar is empty but packets are
     /// still buffered, which happens when fault injection destroys
     /// credits). Both return a [`crate::StallSnapshot`] describing
-    /// exactly where packets and credits got stuck.
+    /// exactly where packets and credits got stuck. A configuration the
+    /// simulator cannot run (`workers != 1`) returns
+    /// [`SimError::Config`].
     pub fn try_run(self) -> Result<(Report, RunSummary), SimError> {
         self.try_run_traced().map(|(report, summary, _)| (report, summary))
     }
@@ -709,134 +553,82 @@ impl Network {
     /// flight-recorder [`Trace`] (empty unless [`SimConfig::trace`]
     /// enabled tracing).
     pub fn try_run_traced(self) -> Result<(Report, RunSummary, Trace), SimError> {
-        self.execute_with(None, |shared, res| {
+        self.execute_with(None, |shared, sim, res| {
             match res.error {
                 Some(ExecError::App { err, .. }) => return Err(err),
-                Some(ExecError::SameTick { time, .. }) => {
-                    return Err(SimError::Stall(Box::new(runtime::stall_snapshot(
-                        &res.worlds,
-                        time,
-                        res.events,
-                    ))));
+                Some(ExecError::SameTick { time }) => {
+                    return Err(SimError::Stall(Box::new(sim.stall_snapshot(time, res.events))));
                 }
-                Some(ExecError::Config { detail }) => return Err(SimError::Config { detail }),
                 None => {}
             }
-            let wedged = res.worlds.iter().any(|p| {
-                p.arena.live() != 0
-                    || p.hosts.iter().any(|h| h.nic.queued_packets() != 0)
-                    || p.switches.iter().any(|s| s.sw.occupancy_packets() != 0)
-            });
-            if wedged {
-                let last = res.worlds.iter().map(|p| p.last_t).max().unwrap_or(SimTime::ZERO);
-                return Err(SimError::Stall(Box::new(runtime::stall_snapshot(
-                    &res.worlds,
-                    last,
-                    res.events,
-                ))));
+            if sim.arena.live() != 0 || sim.residual_packets() != 0 {
+                return Err(SimError::Stall(Box::new(sim.stall_snapshot(sim.last_t, res.events))));
             }
-            Ok(finish(shared, res.worlds, res.events, &res.peak_pending))
-        })
+            Ok(finish(shared, sim, &res))
+        })?
     }
 
     /// Run but stop processing at the window end, leaving in-flight
     /// traffic unaccounted (fast mode for sweeps; statistics windows are
-    /// identical to [`Network::run`], only the drain is skipped).
+    /// identical to [`Network::run`], only the drain is skipped). Panics
+    /// on [`SimError`], like [`Network::run`].
     pub fn run_truncated(self) -> (Report, RunSummary) {
         let stop = self.cfg.window_end();
-        self.execute_with(Some(stop), |shared, res| {
-            match res.error {
-                // tidy: allow(no-unwrap) -- truncated runs are a measurement
-                // mode for fault-free configs; an executor error is a sim bug.
-                Some(ExecError::App { err, .. }) => panic!("{err}"),
-                Some(ExecError::SameTick { time, .. }) => {
-                    let snap = runtime::stall_snapshot(&res.worlds, time, res.events);
-                    // tidy: allow(no-unwrap) -- same contract as the App arm:
-                    // stalls in a truncated fault-free run are simulator bugs.
-                    panic!("{}", SimError::Stall(Box::new(snap)));
-                }
-                Some(ExecError::Config { detail }) => {
-                    // tidy: allow(no-unwrap) -- truncated runs use the same
-                    // assembled config as try_run; a config error is a sim bug.
-                    panic!("configuration cannot execute: {detail}")
-                }
-                None => {}
+        let run = self.execute_with(Some(stop), |shared, sim, res| match res.error {
+            Some(ExecError::App { err, .. }) => Err(err),
+            Some(ExecError::SameTick { time }) => {
+                Err(SimError::Stall(Box::new(sim.stall_snapshot(time, res.events))))
             }
-            let (report, summary, _) = finish(shared, res.worlds, res.events, &res.peak_pending);
-            (report, summary)
-        })
+            None => {
+                let (report, summary, _) = finish(shared, sim, &res);
+                Ok((report, summary))
+            }
+        });
+        // tidy: allow(no-unwrap) -- same panic-on-error contract as run():
+        // truncated runs are a measurement mode for fault-free configs.
+        run.and_then(|r| r).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
-/// Merge the partitions' end-of-run state into the report + summary.
-/// Partition-order folding keeps every aggregate — including the f64
-/// jitter merges inside [`Collector::finish`] — a fixed operation
-/// sequence, so the result is bit-identical at any worker count.
-fn finish(
-    shared: &Shared,
-    worlds: Vec<Partition<'_>>,
-    events: u64,
-    peak_pending: &[u64],
-) -> (Report, RunSummary, Trace) {
-    let mut totals = PartTotals::default();
-    let mut collector: Option<Collector> = None;
-    let mut tracers: Vec<Tracer> = Vec::with_capacity(worlds.len());
-    // Every partition's flow-table/reroute replicas hold identical
-    // run-wide totals (each applied every epoch — see crate::runtime),
-    // so partition 0 speaks for all; summing would multiply-count.
-    let reroute = worlds[0].reroute;
-    let admission_fallbacks = worlds[0].flows.admission_fallbacks();
-    let partitions = worlds.len() as u64;
-    for p in worlds {
-        totals.absorb(&p);
-        tracers.push(p.tracer);
-        match &mut collector {
-            Some(acc) => acc.merge(p.collector),
-            None => collector = Some(p.collector),
-        }
-    }
-    // Canonical merge: stable sort on (time, node) reconstructs the
-    // serial recording order whatever the worker count (see dqos-trace).
-    let trace = dqos_trace::merge(tracers, shared.cfg.trace);
+/// Turn the world's end-of-run state into the report + summary.
+fn finish(shared: &Shared, sim: Sim<'_>, res: &ExecResult<SimError>) -> (Report, RunSummary, Trace) {
+    let sum = |f: fn(&HostState) -> u64| sim.hosts.iter().map(f).sum::<u64>();
+    let reroute = sim.reroute;
     let summary = RunSummary {
-        events,
-        injected_packets: totals.injected,
-        delivered_packets: totals.delivered,
-        out_of_order: totals.out_of_order,
-        broken_messages: totals.broken,
-        residual_packets: totals.residual_nic + totals.residual_sw,
-        take_over_total: totals.take_over,
-        order_errors: totals.order_errors,
-        admission_fallbacks,
-        offered_messages: totals.offered,
-        peak_in_flight: totals.peak_in_flight,
-        peak_pending_events: peak_pending.iter().copied().max().unwrap_or(0),
-        partitions,
-        dropped_packets: totals.dropped.iter().sum(),
-        corrupted_packets: totals.corrupted.iter().sum(),
-        credits_lost: totals.credits_lost,
+        events: res.events,
+        injected_packets: sum(|h| h.nic.stats().injected_packets),
+        delivered_packets: sum(|h| h.sink.stats().packets),
+        out_of_order: sum(|h| h.sink.stats().out_of_order),
+        broken_messages: sum(|h| h.sink.stats().broken_messages),
+        residual_packets: sim.residual_packets(),
+        take_over_total: sim.switches.iter().map(|s| s.sw.take_over_total()).sum(),
+        order_errors: sim.switches.iter().map(|s| s.sw.stats().order_errors).sum(),
+        admission_fallbacks: sim.flows.admission_fallbacks(),
+        offered_messages: sim.offered_messages,
+        peak_in_flight: sim.arena.high_water() as u64,
+        peak_pending_events: res.peak_pending,
+        dropped_packets: sim.fault_dropped.iter().sum(),
+        corrupted_packets: sim.fault_corrupted.iter().sum(),
+        credits_lost: sim.credits_lost,
         reroutes: reroute.rerouted,
         reroute_rejections: reroute.rejected,
         readmissions: reroute.readmitted,
         route_invalidations: reroute.invalidated,
     };
-    let mut report = collector
-        // tidy: allow(no-unwrap) -- the partition count is computed as
-        // max(1, ...) at build time, so the merge loop ran at least once.
-        .expect("at least one partition")
-        .finish(shared.cfg.arch.label(), shared.cfg.mix.load);
+    let trace = sim.tracer.finish();
+    let mut report = sim.collector.finish(shared.cfg.arch.label(), shared.cfg.mix.load);
     if shared.faults_enabled {
         report.faults = Some(FaultReport {
             classes: TrafficClass::ALL
                 .iter()
                 .map(|c| FaultClassLoss {
                     class: c.name().to_string(),
-                    dropped: totals.dropped[c.idx()],
-                    corrupted: totals.corrupted[c.idx()],
-                    deadline_miss: totals.deadline_miss[c.idx()],
+                    dropped: sim.fault_dropped[c.idx()],
+                    corrupted: sim.fault_corrupted[c.idx()],
+                    deadline_miss: sim.fault_deadline_miss[c.idx()],
                 })
                 .collect(),
-            credits_lost: totals.credits_lost,
+            credits_lost: sim.credits_lost,
             reroutes: reroute.rerouted,
             reroute_rejections: reroute.rejected,
             readmissions: reroute.readmitted,
@@ -848,7 +640,7 @@ fn finish(
     (report, summary, trace)
 }
 
-/// Roll the merged trace up into the report's `trace` section: slack
+/// Roll the trace up into the report's `trace` section: slack
 /// attribution per class (Table-1 order, every stage listed).
 fn trace_report(trace: &Trace) -> TraceReport {
     let a = dqos_trace::attribute(&trace.events);
@@ -950,23 +742,6 @@ mod tests {
         assert_eq!(s1.events, s2.events);
         assert_eq!(s1.injected_packets, s2.injected_packets);
         assert_eq!(r1.to_json(), r2.to_json(), "bit-identical reports");
-    }
-
-    #[test]
-    fn parallel_workers_match_serial_reports() {
-        let mk = |workers: usize| {
-            let mut cfg = SimConfig::tiny(Architecture::Advanced2Vc, 0.2);
-            cfg.warmup = SimDuration::from_us(200);
-            cfg.measure = SimDuration::from_ms(1);
-            cfg.workers = workers;
-            cfg
-        };
-        let (r1, s1) = Network::new(mk(1)).run();
-        let (r2, s2) = Network::new(mk(2)).run();
-        assert_eq!(s1.events, s2.events, "same event count");
-        assert_eq!(s1.injected_packets, s2.injected_packets);
-        assert_eq!(s1.delivered_packets, s2.delivered_packets);
-        assert_eq!(r1.to_json(), r2.to_json(), "bit-identical reports across workers");
     }
 
     #[test]

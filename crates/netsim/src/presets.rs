@@ -55,21 +55,6 @@ pub fn cli_arg<T: FromStr>(n: usize, default: T) -> T {
     }
 }
 
-/// Worker-thread count for the partitioned runtime from the
-/// `DQOS_WORKERS` environment variable (default 1 — the serial oracle).
-/// Reports are bit-identical at any value, so examples expose this as an
-/// environment knob rather than a per-example flag.
-pub fn env_workers() -> usize {
-    // tidy: allow(env-read) -- worker count changes wall-clock only;
-    // reports are bit-identical at any value (executor determinism).
-    match std::env::var("DQOS_WORKERS") {
-        // tidy: allow(no-unwrap) -- examples want loud misuse (documented
-        // contract above), not a silently substituted default.
-        Ok(s) => s.parse().unwrap_or_else(|_| panic!("unparsable DQOS_WORKERS: {s:?}")),
-        Err(_) => 1,
-    }
-}
-
 /// Flight-recorder settings from the `DQOS_TRACE` environment variable:
 /// unset or `0` = off, `1` = on with defaults, `N > 1` = on with event
 /// capacity `N`. Tracing never changes simulation results — only whether

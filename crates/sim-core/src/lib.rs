@@ -15,14 +15,17 @@
 //!   delivered in FIFO order (stable, deterministic tie-breaking).
 //!   [`BinaryHeapQueue`] is the original heap calendar, kept as the
 //!   reference oracle for differential tests and benches.
-//! * [`execute`] / [`PartWorld`] — the driver loop: the serial oracle
-//!   for one partition, the conservative-parallel executor for several.
+//! * [`execute`] / [`World`] — the driver loop: one calendar, events in
+//!   `(time, key)` order, timed epochs between them.
 //! * [`rng`] / [`dist`] — a seedable, version-stable PRNG
 //!   (xoshiro256\*\*, implemented in-tree — no `rand` dependency) plus
 //!   the distributions the paper's workloads need (exponential, bounded
 //!   Pareto, log-normal).
 //! * [`pool`] — a scoped std::thread worker pool for parallel sweeps
 //!   (one deterministic single-threaded simulation per worker).
+//! * [`ring`] — a lock-free SPSC ring of word-encoded records. The
+//!   simulator does not use it; it stays for its `perfbench` per-layer
+//!   row and its model-checking drivers (`tests/mcheck_rt.rs`).
 //!
 //! Determinism contract: given the same seed and the same sequence of
 //! `schedule` calls, a simulation built on this kernel replays exactly.
@@ -38,7 +41,7 @@ pub mod ring;
 pub mod rng;
 pub mod time;
 
-/// The atomic/thread shim `ring`/`exec` are written against: a verbatim
+/// The atomic/thread shim `ring` is written against: a verbatim
 /// `std::sync::atomic` + `std::thread` re-export in plain builds, the
 /// controlled scheduler of `dqos-mcheck-rt` under the `mcheck-rt`
 /// feature (systematic interleaving exploration + happens-before race
@@ -51,7 +54,7 @@ pub use dqos_mcheck_rt::tsync;
 #[cfg(not(feature = "mcheck-rt"))]
 const _TSYNC_IS_STD: fn(&tsync::AtomicU64) -> &std::sync::atomic::AtomicU64 = |x| x;
 
-pub use exec::{execute, ExecConfig, ExecEdge, ExecError, ExecResult, Outbox, PartWorld};
+pub use exec::{execute, ExecConfig, ExecError, ExecResult, Outbox, World};
 pub use pool::{default_workers, par_map};
 pub use queue::{BinaryHeapQueue, EventQueue, ScheduledEvent};
 pub use ring::{RingMsg, SpscRing};

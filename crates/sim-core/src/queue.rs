@@ -142,7 +142,6 @@ pub struct EventQueue<E> {
     peak_len: usize,
     seq: u64,
     now: SimTime,
-    scheduled_total: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -188,7 +187,6 @@ impl<E> EventQueue<E> {
             peak_len: 0,
             seq: 0,
             now: SimTime::ZERO,
-            scheduled_total: 0,
         }
     }
 
@@ -216,7 +214,6 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.scheduled_total += 1;
         self.len += 1;
         self.peak_len = self.peak_len.max(self.len);
         let abs = at.as_ns() >> self.shift;
@@ -234,10 +231,10 @@ impl<E> EventQueue<E> {
     /// same-tick events by the caller-supplied `key` instead of the
     /// internal insertion counter.
     ///
-    /// This is the partitioned runtime's determinism hook: keys encode
+    /// This is the simulation's determinism hook: keys encode
     /// `(source node, per-source sequence)` so that the pop order at a
-    /// tick is a pure function of who sent what, not of the interleaving
-    /// in which sends reached this calendar. A calendar must be driven
+    /// tick is a pure function of who sent what, not of the order in
+    /// which sends reached this calendar. A calendar must be driven
     /// either entirely through [`EventQueue::schedule`] or entirely
     /// through `schedule_keyed` — mixing counter values with caller keys
     /// would interleave the two keyspaces arbitrarily.
@@ -250,7 +247,6 @@ impl<E> EventQueue<E> {
             "scheduling into the past: at={at:?} now={:?}",
             self.now
         );
-        self.scheduled_total += 1;
         self.len += 1;
         self.peak_len = self.peak_len.max(self.len);
         let abs = at.as_ns() >> self.shift;
@@ -411,29 +407,6 @@ impl<E> EventQueue<E> {
         Some(ScheduledEvent { time: e.time, payload: e.payload })
     }
 
-    /// The timestamp of the next event without removing it.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.wheel_len == 0 {
-            return self.overflow.peek().map(|e| e.time);
-        }
-        // The wheel, when non-empty, always holds the global minimum:
-        // every overflow event is beyond the horizon, every wheel event
-        // inside it.
-        // tidy: allow(no-unwrap) -- wheel_len > 0 guarantees an occupied slot.
-        let off = self.next_occupied_offset().expect("wheel_len > 0");
-        let slot = ((self.cur_abs + off) & self.mask) as usize;
-        let b = &self.buckets[slot];
-        if b.sorted {
-            b.items.last().map(|e| e.time)
-        } else {
-            b.items.iter().map(|e| e.time).min()
-        }
-    }
-
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
@@ -446,30 +419,10 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
-    /// Most events ever pending at once (a diagnostic high-water mark;
-    /// [`EventQueue::clear`] does not reset it).
+    /// Most events ever pending at once (a diagnostic high-water mark).
     #[inline]
     pub fn peak_len(&self) -> usize {
         self.peak_len
-    }
-
-    /// Total number of events ever scheduled (kernel throughput metric).
-    #[inline]
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
-    /// Drop all pending events (the clock is preserved).
-    pub fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.items.clear();
-            b.sorted = true;
-        }
-        self.occupancy.iter_mut().for_each(|w| *w = 0);
-        self.word_occ = 0;
-        self.overflow.clear();
-        self.wheel_len = 0;
-        self.len = 0;
     }
 }
 
@@ -483,7 +436,6 @@ pub struct BinaryHeapQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
     now: SimTime,
-    scheduled_total: u64,
 }
 
 impl<E> Default for BinaryHeapQueue<E> {
@@ -499,7 +451,6 @@ impl<E> BinaryHeapQueue<E> {
             heap: BinaryHeap::new(),
             seq: 0,
             now: SimTime::ZERO,
-            scheduled_total: 0,
         }
     }
 
@@ -524,7 +475,6 @@ impl<E> BinaryHeapQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.scheduled_total += 1;
         self.heap.push(Entry { time: at, seq, payload });
     }
 
@@ -537,12 +487,6 @@ impl<E> BinaryHeapQueue<E> {
         Some(ScheduledEvent { time: e.time, payload: e.payload })
     }
 
-    /// The timestamp of the next event without removing it.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
@@ -553,17 +497,6 @@ impl<E> BinaryHeapQueue<E> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled.
-    #[inline]
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
-    /// Drop all pending events (the clock is preserved).
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -598,7 +531,6 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_ns(7), ());
         assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(7)));
         q.pop();
         assert_eq!(q.now(), SimTime::from_ns(7));
         assert!(q.pop().is_none());
@@ -627,7 +559,6 @@ mod tests {
         q.schedule(q.now() + SimDuration::from_ns(1), 3);
         assert_eq!(q.pop().unwrap().payload, 3);
         assert_eq!(q.pop().unwrap().payload, 2);
-        assert_eq!(q.scheduled_total(), 3);
     }
 
     #[test]
@@ -707,29 +638,12 @@ mod tests {
                 pending -= 1;
             }
             assert_eq!(fast.len(), oracle.len());
-            assert_eq!(fast.peek_time(), oracle.peek_time());
         }
         while let Some(b) = oracle.pop() {
             let a = fast.pop().unwrap();
             assert_eq!((a.time, a.payload), (b.time, b.payload));
         }
         assert!(fast.is_empty());
-    }
-
-    #[test]
-    fn clear_preserves_clock() {
-        let mut q = EventQueue::with_geometry(0, 64);
-        q.schedule(SimTime::from_ns(10), ());
-        q.schedule(SimTime::from_ns(5000), ()); // overflow
-        q.pop();
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
-        assert_eq!(q.now(), SimTime::from_ns(10));
-        assert_eq!(q.peek_time(), None);
-        // Still usable after clear.
-        q.schedule(SimTime::from_ns(11), ());
-        assert_eq!(q.pop().unwrap().time, SimTime::from_ns(11));
     }
 
     #[cfg(feature = "proptest")]

@@ -7,8 +7,7 @@
 //! the overflow, migration and ring-wrap paths.
 
 use dqos_sim_core::{
-    execute, BinaryHeapQueue, EventQueue, ExecConfig, Outbox, PartWorld, SimDuration, SimRng,
-    SimTime,
+    execute, BinaryHeapQueue, EventQueue, ExecConfig, Outbox, SimDuration, SimRng, SimTime, World,
 };
 
 /// Drive both calendars through the same mixed schedule/pop workload and
@@ -90,7 +89,7 @@ struct Ticker {
     fired: Vec<SimTime>,
 }
 
-impl PartWorld for Ticker {
+impl World for Ticker {
     type Msg = u64;
     type Err = ();
     fn seed(&mut self, out: &mut Outbox<'_, u64>) {
@@ -110,23 +109,16 @@ impl PartWorld for Ticker {
     fn on_epoch(&mut self, _idx: usize) {}
 }
 
-/// The serial executor's horizon runs events *at* the horizon but
-/// nothing after it — the contract the measurement windows depend on.
+/// The executor's horizon runs events *at* the horizon but nothing
+/// after it — the contract the measurement windows depend on.
 #[test]
 fn run_until_is_horizon_inclusive() {
-    let cfg = ExecConfig {
-        lookahead: SimDuration::from_ns(1),
-        edges: None,
-        ring_words: 64,
-        epochs: vec![],
-        horizon: Some(SimTime::from_us(20)),
-        same_tick_limit: 16,
-        part_of: vec![0],
-    };
-    let res = execute(vec![Ticker { period: SimDuration::from_us(5), fired: vec![] }], cfg);
+    let cfg = ExecConfig { epochs: vec![], horizon: Some(SimTime::from_us(20)), same_tick_limit: 16 };
+    let mut ticker = Ticker { period: SimDuration::from_us(5), fired: vec![] };
+    let res = execute(&mut ticker, &cfg);
     assert!(res.error.is_none());
     assert_eq!(
-        res.worlds[0].fired,
+        ticker.fired,
         (0..=4).map(|i| SimTime::from_us(5 * i)).collect::<Vec<_>>(),
         "events at 0,5,10,15,20us run; the one at 25us must not"
     );

@@ -54,13 +54,6 @@ impl ThroughputMeter {
         )
     }
 
-    /// Merge another meter into this one.
-    pub fn merge(&mut self, other: &ThroughputMeter) {
-        self.bytes += other.bytes;
-        self.packets += other.packets;
-        self.messages += other.messages;
-    }
-
     /// Serialise to a JSON tree.
     pub fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;
@@ -116,18 +109,5 @@ mod tests {
             m.throughput(SimTime::from_us(5), SimTime::from_us(5)).as_bytes_per_sec(),
             0
         );
-    }
-
-    #[test]
-    fn merge() {
-        let mut a = ThroughputMeter::new();
-        let mut b = ThroughputMeter::new();
-        a.record_packet(10);
-        b.record_packet(20);
-        b.record_message();
-        a.merge(&b);
-        assert_eq!(a.bytes(), 30);
-        assert_eq!(a.packets(), 2);
-        assert_eq!(a.messages(), 1);
     }
 }

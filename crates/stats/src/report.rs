@@ -37,15 +37,6 @@ impl ClassStats {
         ClassStats { name: name.into(), ..Default::default() }
     }
 
-    /// Merge another block (e.g. from a parallel replica).
-    pub fn merge(&mut self, other: &ClassStats) {
-        self.packet_latency.merge(&other.packet_latency);
-        self.message_latency.merge(&other.message_latency);
-        self.delivered.merge(&other.delivered);
-        self.offered.merge(&other.offered);
-        self.jitter.merge(&other.jitter);
-    }
-
     /// Serialise to a JSON tree.
     pub fn to_json_value(&self) -> Json {
         Json::obj(vec![
@@ -628,17 +619,5 @@ mod tests {
         assert!(!lines.is_empty());
         // Final fraction reaches 1.
         assert!(lines.last().unwrap().ends_with("1.000000"));
-    }
-
-    #[test]
-    fn merge_classes() {
-        let mut a = ClassStats::new("Control");
-        let mut b = ClassStats::new("Control");
-        a.packet_latency.record(10);
-        b.packet_latency.record(20);
-        b.delivered.record_packet(100);
-        a.merge(&b);
-        assert_eq!(a.packet_latency.count(), 2);
-        assert_eq!(a.delivered.bytes(), 100);
     }
 }

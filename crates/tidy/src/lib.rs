@@ -2,12 +2,12 @@
 //!
 //! A hand-rolled, zero-dependency static analysis pass for the
 //! `deadline-qos` workspace, in the spirit of rustc's `tidy`. The
-//! simulator's headline guarantee — parallel reports bit-identical to
-//! the serial oracle for every seed, architecture, fault plan and
-//! worker count — is exactly the property that dies quietly from a
-//! stray `HashMap` iteration, a wall-clock read, or an under-ordered
-//! atomic. These rules machine-check the contracts the executor's
-//! correctness argument rests on; reviewer vigilance does not scale.
+//! simulator's headline guarantee — reports that are a pure function of
+//! the config, for every seed, architecture and fault plan — is exactly
+//! the property that dies quietly from a stray `HashMap` iteration, a
+//! wall-clock read, or an under-ordered atomic. These rules
+//! machine-check the contracts that guarantee rests on; reviewer
+//! vigilance does not scale.
 //!
 //! Three rule groups (full catalog in [`rules::RULES`] and DESIGN.md §8):
 //!

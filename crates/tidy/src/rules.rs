@@ -738,7 +738,7 @@ fn item_end(toks: &[Tok], start: usize) -> usize {
 /// acquired while all currently-held locks precede it in the declared
 /// order. Held-until is approximated as "to the end of the enclosing
 /// block", which is conservative (guards can drop earlier) but exact
-/// for the `let guard = x.lock()…` shape the executor uses.
+/// for the `let guard = x.lock()…` shape.
 fn check_lock_order(path: &str, toks: &[Tok], order: &[String], findings: &mut Vec<Finding>) {
     let idx_of = |name: &str| order.iter().position(|o| o == name);
     let mut held: Vec<(String, i32)> = Vec::new();

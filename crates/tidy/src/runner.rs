@@ -22,10 +22,9 @@ const NON_SIM_CRATES: &[&str] = &["bench", "tidy", "mcheck-rt"];
 const UNSAFE_ALLOWLIST: &[&str] = &[];
 
 /// Files that take multiple locks and must declare a
-/// `// tidy: lock-order(...)`. Deliberately empty since the executor
-/// rebuild: the free-running exec.rs holds one cold-path Mutex (the
-/// first-error slot) and no ordered lock pairs. Any future file that
-/// nests two locks must land here with its declared order.
+/// `// tidy: lock-order(...)`. Deliberately empty: no library file nests
+/// two locks. Any future file that does must land here with its
+/// declared order.
 const LOCK_ORDER_REQUIRED: &[&str] = &[];
 
 /// The only library files allowed to touch `std::net`/`std::process`:

@@ -147,8 +147,8 @@ struct Journey {
     ok: bool,
 }
 
-/// Run the attribution pass over a merged, canonically ordered trace
-/// (see [`crate::merge`]). Packets dropped or corrupted in flight end
+/// Run the attribution pass over a canonically ordered trace
+/// (see [`crate::Tracer::finish`]). Packets dropped or corrupted in flight end
 /// their journey unattributed; only intact deliveries are classified.
 ///
 /// The pass groups events by packet with one index sort instead of a

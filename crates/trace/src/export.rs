@@ -1,7 +1,7 @@
 //! Trace exporters. Everything goes through `io::Write` — library code
 //! never prints (enforced by the `no-print` tidy rule) — and every byte
 //! written is a pure function of the event stream, so exported traces
-//! can be compared byte-for-byte across worker counts.
+//! can be compared byte-for-byte.
 
 use crate::{Event, EventKind, Trace};
 use std::io::{self, Write};
@@ -63,7 +63,7 @@ pub fn write_jsonl<W: Write>(w: &mut W, events: &[Event]) -> io::Result<()> {
     Ok(())
 }
 
-/// JSONL bytes of a merged trace (convenience for byte-identity tests).
+/// JSONL bytes of a trace (convenience for byte-identity tests).
 pub fn jsonl_bytes(trace: &Trace) -> Vec<u8> {
     let mut v = Vec::new();
     // Writing into a Vec<u8> cannot fail.
@@ -114,7 +114,7 @@ pub fn write_chrome_trace<W: Write>(w: &mut W, events: &[Event]) -> io::Result<(
     writeln!(w, r#"],"displayTimeUnit":"ns"}}"#)
 }
 
-/// Chrome trace bytes of a merged trace.
+/// Chrome trace bytes of a trace.
 pub fn chrome_bytes(trace: &Trace) -> Vec<u8> {
     let mut v = Vec::new();
     // Writing into a Vec<u8> cannot fail.

@@ -5,28 +5,18 @@
 //! `TraceSettings::enabled` no event is materialised and no behaviour
 //! changes. When enabled, per-packet lifecycle events (stamped → eligible
 //! → injected → per-hop enqueue/arbitrate/crossbar/transmit → delivered or
-//! dropped) plus periodic occupancy samples are captured into
-//! fixed-capacity per-partition buffers.
+//! dropped) plus periodic occupancy samples are captured into one
+//! fixed-capacity buffer.
 //!
-//! # Worker invariance
+//! # Canonical order
 //!
-//! The executor (DESIGN.md §7) processes each partition's events in
-//! `(time, key)` order where `key = (node << 40) | seq`, and a node lives
-//! in exactly one partition. Every recorded event is stamped with the
-//! global handling time and the handling node, so a partition's recording
-//! order *is* the global `(at, node, per-node order)` order restricted to
-//! that partition. [`merge`] therefore reconstructs the exact serial
-//! recording order — byte-identical for any `DQOS_WORKERS` — by
-//! concatenating the per-partition buffers and stable-sorting on
-//! `(at, node)`.
-//!
-//! The overflow policy is worker-invariant too. Each per-partition buffer
-//! keeps the **first** `capacity` events it sees (drop-newest): an event
-//! within the first `capacity` of the *global* order has fewer than
-//! `capacity` predecessors globally, hence fewer still within its own
-//! partition, so it is always locally kept; merging and truncating to
-//! `capacity` then yields exactly the global prefix. Dropped counts are
-//! reported, never silent.
+//! Every recorded event is stamped with the global handling time and the
+//! handling node. [`Tracer::finish`] stable-sorts the buffer on
+//! `(at, node)`, so the trace lists each node's events in the order the
+//! node handled them, nodes ascending within a tick. The buffer keeps the
+//! **first** `capacity` events it sees (drop-newest), so a truncated
+//! trace is a prefix of the full one in recording order. Dropped counts
+//! are reported, never silent.
 //!
 //! On top of the raw stream sit the [`attr`] slack-attribution pass and
 //! the [`export`] writers (JSONL, Chrome `trace_event`).
@@ -46,8 +36,8 @@ pub struct TraceSettings {
     /// Master switch. When false the recorder is inert and the run is
     /// bit-identical to an untraced one.
     pub enabled: bool,
-    /// Maximum number of events kept **per partition** and also the cap
-    /// on the merged trace. Overflow drops the newest events (counted).
+    /// Maximum number of events kept. Overflow drops the newest events
+    /// (counted).
     pub capacity: u32,
     /// Period of the per-node occupancy/credit sampler, in ns. Zero
     /// disables sampling while keeping lifecycle events.
@@ -143,8 +133,8 @@ pub enum ModelNote {
     XbarDone { pkt: u64 },
 }
 
-/// Per-partition recorder: a bounded append-only buffer plus an attempt
-/// counter. Cheap enough to sit in every partition even when off.
+/// The run's recorder: a bounded append-only buffer plus an attempt
+/// counter. Cheap enough to sit in every run even when off.
 #[derive(Debug)]
 pub struct Tracer {
     on: bool,
@@ -208,7 +198,7 @@ impl Tracer {
     }
 
     /// Record one event. Past capacity the event is counted but dropped
-    /// (drop-newest; see the module docs for why this is worker-invariant).
+    /// (drop-newest; see the module docs).
     #[inline]
     pub fn record(&mut self, ev: Event) {
         if !self.on {
@@ -233,15 +223,28 @@ impl Tracer {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
+
+    /// The canonically ordered trace: the buffer stable-sorted on
+    /// `(at, node)` (ties keep recording order).
+    pub fn finish(self) -> Trace {
+        let mut events = self.events;
+        // A buffer that is already in order (a quiet run) skips the
+        // sort, which would leave it unchanged anyway.
+        if !events.windows(2).all(|w| (w[0].at, w[0].node) <= (w[1].at, w[1].node)) {
+            events.sort_by_key(|e| (e.at, e.node));
+        }
+        let dropped = self.attempts - events.len() as u64;
+        Trace { events, recorded: self.attempts, dropped }
+    }
 }
 
-/// A merged, canonically ordered trace (see [`merge`]).
+/// A canonically ordered trace (see [`Tracer::finish`]).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Trace {
     /// Events in global `(at, node, per-node order)` order, truncated to
     /// the configured capacity.
     pub events: Vec<Event>,
-    /// Total record attempts across all partitions.
+    /// Total record attempts.
     pub recorded: u64,
     /// Attempts that did not survive capacity truncation.
     pub dropped: u64,
@@ -253,49 +256,8 @@ impl Trace {
     }
 }
 
-/// Merge per-partition recorders into the canonical trace. `tracers` must
-/// be passed in partition order (any fixed order works — the stable sort
-/// only needs intra-partition order, which each `Tracer` preserves — but
-/// partition order keeps the operation reproducible by inspection).
-pub fn merge(tracers: impl IntoIterator<Item = Tracer>, settings: TraceSettings) -> Trace {
-    let mut events: Vec<Event> = Vec::new();
-    let mut recorded = 0u64;
-    for t in tracers {
-        recorded += t.attempts;
-        if events.is_empty() {
-            // Move the first buffer instead of copying it — with one
-            // partition (workers = 1) this makes merge allocation-free.
-            events = t.events;
-        } else {
-            events.extend(t.events);
-        }
-    }
-    // Stable: ties on (at, node) keep per-partition (= per-node) order.
-    // Each partition records in (at, node) order already, so a single
-    // partition arrives sorted; skipping the sort then is exactly what
-    // the stable sort would do, just without touching the allocator.
-    let sorted = events
-        .windows(2)
-        .all(|w| (w[0].at, w[0].node) <= (w[1].at, w[1].node));
-    if !sorted {
-        events.sort_by_key(|e| (e.at, e.node));
-    }
-    let cap = settings.capacity as usize;
-    if events.len() > cap {
-        events.truncate(cap);
-    }
-    let dropped = recorded - events.len() as u64;
-    Trace {
-        events,
-        recorded,
-        dropped,
-    }
-}
-
 /// Packets in flight (injected but not yet delivered or dropped) over
-/// time, derived post-hoc from the merged stream. This is computed here —
-/// not sampled live — because live arena occupancy is a per-partition
-/// quantity and would vary with the worker count.
+/// time, derived post-hoc from the event stream.
 ///
 /// Returns `(time, in_flight)` change points; the count holds until the
 /// next entry.
@@ -357,7 +319,7 @@ mod tests {
         assert_eq!(t.attempts(), 5);
         assert_eq!(t.len(), 2);
         assert_eq!(t.events[1].pkt, 1);
-        let trace = merge([t], on(2));
+        let trace = t.finish();
         assert_eq!(trace.recorded, 5);
         assert_eq!(trace.dropped, 3);
         assert_eq!(trace.events.len(), 2);
@@ -372,44 +334,21 @@ mod tests {
         assert_eq!(t.sample_period(), None);
     }
 
-    /// The worker-invariance property from the module docs, exercised
-    /// directly: a global recording order split across any partitioning
-    /// of the nodes merges back to the same truncated trace.
+    /// `finish` orders by `(at, node)` and keeps each node's own order.
     #[test]
-    fn merge_is_partitioning_invariant() {
-        // Global stream: (at, node) nondecreasing in (at, node) per node,
-        // with ties across nodes at the same time.
-        let global: Vec<Event> = vec![
-            ev(10, 0, 100, EventKind::Eligible),
+    fn finish_sorts_on_time_then_node_stably() {
+        let mut t = Tracer::new(on(16));
+        for e in [
+            ev(10, 2, 300, EventKind::Eligible),
             ev(10, 1, 200, EventKind::Eligible),
             ev(10, 1, 201, EventKind::Injected),
-            ev(10, 2, 300, EventKind::Eligible),
             ev(20, 0, 101, EventKind::Injected),
-            ev(20, 2, 301, EventKind::Injected),
-            ev(30, 1, 202, EventKind::Delivered),
-            ev(30, 2, 302, EventKind::Delivered),
-        ];
-        for cap in [1u32, 3, 5, 8, 16] {
-            // Serial: one partition holds every node.
-            let mut serial = Tracer::new(on(cap));
-            for e in &global {
-                serial.record(*e);
-            }
-            let want = merge([serial], on(cap));
-
-            // Parallel: nodes 0,2 in partition A, node 1 in partition B.
-            let mut a = Tracer::new(on(cap));
-            let mut b = Tracer::new(on(cap));
-            for e in &global {
-                if e.node == 1 {
-                    b.record(*e);
-                } else {
-                    a.record(*e);
-                }
-            }
-            let got = merge([a, b], on(cap));
-            assert_eq!(got, want, "cap {cap}");
+            ev(10, 0, 100, EventKind::Eligible),
+        ] {
+            t.record(e);
         }
+        let pkts: Vec<u64> = t.finish().events.iter().map(|e| e.pkt).collect();
+        assert_eq!(pkts, vec![100, 200, 201, 300, 101]);
     }
 
     #[test]

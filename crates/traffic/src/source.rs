@@ -24,10 +24,7 @@ pub struct AppMessage {
 /// The simulator calls [`TrafficSource::first_arrival`] once to learn the
 /// initial event time, then [`TrafficSource::emit`] at each firing, which
 /// returns the message plus the absolute time of the next firing.
-///
-/// Sources are `Send` so the partitioned runtime can move a host's
-/// sources onto whichever worker thread owns that host's partition.
-pub trait TrafficSource: Send {
+pub trait TrafficSource {
     /// The class this source produces.
     fn class(&self) -> TrafficClass;
 

@@ -2,19 +2,16 @@
 //!
 //! One seed, three fault scenarios — a lossy link, a timed spine outage,
 //! and per-node clock drift — each run twice, asserting the two runs are
-//! byte-identical JSON; the second run uses the parallel runtime when
-//! `DQOS_WORKERS` is set, making this a serial-vs-parallel equivalence
-//! check too. Plus the null case: an empty plan must be indistinguishable
-//! from a simulation with no fault machinery at all.
+//! byte-identical JSON. Plus the null case: an empty plan must be
+//! indistinguishable from a simulation with no fault machinery at all.
 //!
 //! ```text
 //! cargo run --release --example fault_matrix
-//! DQOS_WORKERS=2 cargo run --release --example fault_matrix
 //! ```
 
 use deadline_qos::core::Architecture;
 use deadline_qos::faults::{FaultPlan, LinkImpairment, LinkSelector, NodeRef};
-use deadline_qos::netsim::presets::{env_workers, window_us};
+use deadline_qos::netsim::presets::window_us;
 use deadline_qos::netsim::{Network, SimConfig};
 use deadline_qos::sim_core::SimTime;
 use deadline_qos::topology::FoldedClos;
@@ -27,9 +24,7 @@ fn cfg() -> SimConfig {
 
 fn check_twice(label: &str, plan: &FaultPlan) {
     let (r1, s1) = Network::with_faults(cfg(), plan).try_run().expect(label);
-    let mut pcfg = cfg();
-    pcfg.workers = env_workers();
-    let (r2, s2) = Network::with_faults(pcfg, plan).try_run().expect(label);
+    let (r2, s2) = Network::with_faults(cfg(), plan).try_run().expect(label);
     s1.check().expect(label);
     assert_eq!(s1.events, s2.events, "{label}: event counts diverged");
     assert_eq!(r1.to_json(), r2.to_json(), "{label}: reports diverged");
@@ -71,6 +66,5 @@ fn main() {
             .with_drift(NodeRef::Host(1), 150)
             .with_drift(NodeRef::Switch(2), -90),
     );
-    let w = env_workers();
-    println!("fault matrix: all scenarios deterministic (second runs at workers={w})");
+    println!("fault matrix: all scenarios deterministic");
 }

@@ -35,7 +35,7 @@
 //! footprint regression shows in every gate run.
 
 use deadline_qos::core::Architecture;
-use deadline_qos::netsim::presets::{cli_arg, env_workers, scaled_tiny, window_us};
+use deadline_qos::netsim::presets::{cli_arg, scaled_tiny, window_us};
 use deadline_qos::netsim::{Network, SimConfig, TraceSettings, CALENDAR_ENTRY_BYTES};
 
 /// A `kB` line of `/proc/self/status` (e.g. `VmHWM`), in MiB.
@@ -57,11 +57,7 @@ fn footprint(mut cfg: SimConfig) {
     let (_, summary) = net.run();
     let hwm = status_mib("VmHWM");
     println!("== memory (untraced run) ==");
-    println!(
-        "  peak packets in flight {:>10}   ({})",
-        summary.peak_in_flight,
-        if cfg.workers > 1 { "largest partition" } else { "whole run" }
-    );
+    println!("  peak packets in flight {:>10}", summary.peak_in_flight);
     println!(
         "  peak pending events    {:>10}   ({CALENDAR_ENTRY_BYTES} B per calendar entry, {:.2} MiB at the peak)",
         summary.peak_pending_events,
@@ -93,15 +89,9 @@ fn main() {
     };
 
     let mut cfg = window_us(scaled_tiny(arch, load, hosts), 2_000, 2_000);
-    cfg.workers = env_workers();
     cfg.trace = TraceSettings::on();
 
-    println!(
-        "profiling {} @ {:.0}% load ({hosts} hosts, {} worker(s))...\n",
-        arch.label(),
-        load * 100.0,
-        cfg.workers
-    );
+    println!("profiling {} @ {:.0}% load ({hosts} hosts)...\n", arch.label(), load * 100.0);
     footprint(cfg);
     let wall_start = std::time::Instant::now();
     let (report, summary, trace) = Network::new(cfg).run_traced();

@@ -3,14 +3,13 @@
 //!
 //! ```text
 //! cargo run --release --example quickstart [load] [hosts]
-//! DQOS_WORKERS=4 cargo run --release --example quickstart   # parallel runtime
 //! ```
 //!
 //! Defaults: load 1.0 (the paper's most interesting point), 32 hosts
 //! (the fast preset; pass 128 for the paper-scale network).
 
 use deadline_qos::core::Architecture;
-use deadline_qos::netsim::presets::{cli_arg, env_workers, scaled_bench};
+use deadline_qos::netsim::presets::{cli_arg, scaled_bench};
 use deadline_qos::netsim::run_one;
 
 fn main() {
@@ -24,9 +23,7 @@ fn main() {
     println!();
 
     for arch in Architecture::ALL {
-        let mut cfg = scaled_bench(arch, load, hosts);
-        cfg.workers = env_workers();
-        let (report, summary) = run_one(cfg);
+        let (report, summary) = run_one(scaled_bench(arch, load, hosts));
         println!("{}", report.to_table());
         println!(
             "  [{} events, {} pkts injected, {} delivered, {} out-of-order, {} take-overs]",

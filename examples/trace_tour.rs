@@ -13,7 +13,7 @@
 //! Perfetto: instant events per packet, counter tracks per node).
 
 use deadline_qos::core::Architecture;
-use deadline_qos::netsim::presets::{cli_arg, env_trace, env_workers, scaled_tiny, window_us};
+use deadline_qos::netsim::presets::{cli_arg, env_trace, scaled_tiny, window_us};
 use deadline_qos::netsim::{Network, TraceSettings};
 use deadline_qos::trace::{attribute, export, in_flight_series, STAGE_NAMES};
 
@@ -27,7 +27,6 @@ fn main() {
     // Tracing is an ordinary config field; `DQOS_TRACE` overrides the
     // default-on settings of this example (0 disables, N sets capacity).
     let mut cfg = window_us(scaled_tiny(arch, load, 16), 2_000, 2_000);
-    cfg.workers = env_workers();
     cfg.trace = if std::env::var("DQOS_TRACE").is_ok() {
         env_trace()
     } else {

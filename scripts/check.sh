@@ -10,9 +10,9 @@
 #      workspace must report zero findings.
 #   1. Release build, then a whole-workspace warning-free build
 #      (RUSTFLAGS="-D warnings").
-#   2. Full test suite — includes tests/determinism.rs, the serial-vs-
-#      parallel equivalence matrix (4 architectures x 3 seeds x 3 fault
-#      scenarios, report JSON byte-identical at every worker count).
+#   2. Full test suite — includes tests/determinism.rs, the golden-
+#      digest matrix (4 architectures x 3 seeds x 3 fault scenarios,
+#      report JSON and traces pinned byte for byte).
 #      Then the benchmark package's tests (perfbench/, a workspace of its
 #      own, so the workspace run above never builds it): a change to an
 #      API the benchmark calls fails here rather than only when the
@@ -23,18 +23,10 @@
 #      must stay above DQOS_PERF_GATE_PCT% (default 75) of the rate the
 #      committed file recorded before the rerun. Set
 #      DQOS_PERF_GATE_PCT=0 to disable on hosts too noisy to gate.
-#   4. partition_scaling bench: asserts parallel == serial bit-for-bit
-#      at workers {2, 4, 8}, then records event rates and per-count
-#      "speedup_valid_workers_{w}" flags into BENCH_parallel.json
-#      (counts wider than host_cpus are exactness-checked but not
-#      timed). When host_cpus >= 2 the recorded speedup_workers_2 must
-#      clear DQOS_PAR_GATE (default 1.3; 0 disables) — the free-running
-#      executor is expected to *win*, not merely match. On a single-CPU
-#      host the exactness matrix is the whole gate.
-#   5. fault_matrix example at DQOS_WORKERS=2: fault-injection smoke
-#      ({link-drop, spine-down, clock-drift} each run serial then
-#      parallel, byte-identical; empty plan perfectly inert).
-#   6. Flight-recorder and daemon gates: the paper-conformance,
+#   4. fault_matrix example: fault-injection smoke ({link-drop,
+#      spine-down, clock-drift} each run twice, byte-identical; empty
+#      plan perfectly inert).
+#   5. Flight-recorder and daemon gates: the paper-conformance,
 #      trace-determinism, and dqosd-chaos suites run explicitly (the
 #      first two are the contract for the trace layer; the third is the
 #      dqos-d loopback churn soak with mid-churn kill/recover/replay and
@@ -43,16 +35,16 @@
 #      must stay within 1.5x of the untraced wall-clock, a full-capture
 #      run within 2.75x (see examples/trace_overhead.rs for why two
 #      budgets and how they were recalibrated after the hot-path work).
-#   7. hotpath_profile example: the self-profiling where-ticks-go table
+#   6. hotpath_profile example: the self-profiling where-ticks-go table
 #      (slack attribution pointed at the simulator) and the memory
 #      footprint of an untraced run (peak packets in flight, VmHWM,
 #      set-up bytes per video stream, bytes per in-flight packet), so a
 #      footprint regression shows in every gate run. Non-gating — its output is diagnostic, so a
 #      failure warns instead of failing.
-#   8. mcheck: bounded-exhaustive concurrency exploration of the
-#      *production* ring/exec protocols under the dqos-mcheck-rt
+#   7. mcheck: bounded-exhaustive concurrency exploration of the
+#      *production* SPSC ring protocol under the dqos-mcheck-rt
 #      controlled scheduler (DESIGN.md §13) — the scheduler's own
-#      self-tests, then the real-code drivers and their seeded-bug
+#      self-tests, then the ring drivers and their seeded-bug
 #      mutant-kill matrix. DQOS_MCHECK_BUDGET caps schedules per test
 #      (default 4000, enough to kill every seeded mutant in seconds).
 #      The plain release build in step 1 doubles as the zero-cost
@@ -95,42 +87,12 @@ if [ -n "$baseline_rate" ] && [ -n "$new_rate" ] && [ "$gate_pct" != "0" ]; then
   }
 fi
 
-cargo bench -q --offline -p dqos-bench --bench partition_scaling
-
-# Parallel speedup gate. Exactness already passed inside the bench (it
-# refuses to write the file otherwise); here we additionally demand a
-# real multi-core win when the host can express one.
-par_value() {
-  awk -v key="\"$1\"" '
-    index($0, key) { gsub(/[,]/, "", $2); print $2; exit }
-  ' BENCH_parallel.json 2>/dev/null || true
-}
-par_gate="${DQOS_PAR_GATE:-1.3}"
-host_cpus="$(par_value host_cpus)"
-if [ -n "$host_cpus" ] && [ "$host_cpus" -ge 2 ] && [ "$par_gate" != "0" ]; then
-  speedup2="$(par_value speedup_workers_2)"
-  if [ -z "$speedup2" ]; then
-    echo "FAIL: host has $host_cpus CPUs but BENCH_parallel.json has no speedup_workers_2 row" >&2
-    exit 1
-  fi
-  awk -v s="$speedup2" -v gate="$par_gate" 'BEGIN {
-    printf "parallel speedup gate: workers=2 at %.2fx (floor %sx)\n", s, gate
-    exit !(s >= gate)
-  }' || {
-    echo "FAIL: 2-worker speedup below ${par_gate}x on a ${host_cpus}-CPU host" >&2
-    echo "      (rerun on a quiet host, or set DQOS_PAR_GATE — 0 disables the gate)" >&2
-    exit 1
-  }
-else
-  echo "parallel speedup gate: skipped (host_cpus=${host_cpus:-?}, DQOS_PAR_GATE=${par_gate})"
-fi
-
-DQOS_WORKERS=2 cargo run --release --offline --example fault_matrix
+cargo run --release --offline --example fault_matrix
 cargo test -q --offline --release --test paper_conformance --test trace_determinism --test dqosd_chaos
 cargo run --release --offline --example trace_overhead
 cargo run --release --offline --example hotpath_profile \
   || echo "warning: hotpath_profile smoke failed (non-gating)" >&2
-# Systematic concurrency check of the real lock-free protocols (step 8).
+# Systematic concurrency check of the real lock-free ring (step 7).
 cargo test -q --offline -p dqos-mcheck-rt --features sched
 cargo test -q --offline --features mcheck --test mcheck_rt
 # Last: flipping RUSTFLAGS invalidates cargo's cache, so the warning-free

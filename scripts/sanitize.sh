@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Best-effort dynamic sanitizer pass over the concurrency-sensitive
-# tests (tests/determinism.rs exercises the parallel executor against
-# the serial oracle). Complements the static gates in check.sh:
-# dqos-tidy and the dqos-mcheck-rt systematic checker explore the real
-# ring/exec protocol code under a controlled scheduler; Miri and
-# ThreadSanitizer check the same code against the real memory model on
-# real hardware.
+# Best-effort dynamic sanitizer pass: Miri over the determinism suite,
+# ThreadSanitizer over the SPSC ring's two-thread test (the only
+# lock-free code left in the workspace). Complements the static gates in
+# check.sh: dqos-tidy and the dqos-mcheck-rt systematic checker explore
+# the real ring protocol code under a controlled scheduler; Miri and
+# ThreadSanitizer check code against the real memory model on real
+# hardware.
 #
 # Both tools need a nightly toolchain (and TSan an -Zbuild-std-capable
 # one), which the offline container may not have — so every stage
@@ -54,12 +54,12 @@ else
     echo "sanitize: miri component not installed; skipping (rustup +nightly component add miri)" >&2
 fi
 
-# --- ThreadSanitizer: data-race check of the parallel executor --------
+# --- ThreadSanitizer: data-race check of the SPSC ring -----------------
 host="$(rustc -vV | sed -n 's/^host: //p')"
 if rustup component list --toolchain nightly 2>/dev/null | grep -q 'rust-src.*(installed)'; then
-    echo "sanitize: running ThreadSanitizer on tests/determinism.rs" >&2
+    echo "sanitize: running ThreadSanitizer on sim-core's ring tests" >&2
     if RUSTFLAGS="-Z sanitizer=thread" cargo +nightly test --offline -Z build-std \
-        --target "$host" --test determinism; then
+        --target "$host" -p dqos-sim-core --lib ring; then
         tsan_status=ran
     else
         echo "sanitize: ThreadSanitizer reported errors" >&2

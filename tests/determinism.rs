@@ -1,8 +1,15 @@
-//! Reproducibility contract: a run is a pure function of its config —
-//! and, since the partitioned runtime, of its config *only*: the worker
-//! count must not change a single bit of the report.
+//! Reproducibility contract: a run is a pure function of its config,
+//! and what that function returns is pinned.
+//!
+//! The golden digests below are the 64-bit FNV-1a of
+//! `Report::to_json()` (and, for traced runs, of the exported JSONL
+//! trace), recorded from the simulator before its parallel executor was
+//! removed — the runs that matrix proved identical at every worker
+//! count. Any change to a report or a trace fails here; a change that
+//! alters simulation results on purpose must re-record them and say why.
 
 use deadline_qos::core::Architecture;
+use deadline_qos::dqosd::journal::fnv1a;
 use deadline_qos::faults::{FaultPlan, LinkImpairment, LinkSelector};
 use deadline_qos::netsim::{Network, RunSummary, SimConfig, SimError, TraceSettings};
 use deadline_qos::sim_core::{SimDuration, SimTime};
@@ -47,7 +54,7 @@ fn truncated_run_is_prefix_deterministic() {
 }
 
 // ---------------------------------------------------------------------
-// Serial/parallel equivalence matrix
+// Golden-digest matrix
 // ---------------------------------------------------------------------
 
 /// The fault scenarios the matrix crosses with every architecture and
@@ -78,144 +85,156 @@ fn fault_scenarios(topo: &FoldedClos) -> Vec<(&'static str, Option<FaultPlan>)> 
     ]
 }
 
-/// Every [`RunSummary`] field must agree between executors except
-/// `peak_in_flight`, `peak_pending_events` and `partitions`: the first
-/// two are per-partition high-water maxima (arena and calendar, marked
-/// `aggregation: "per-partition-max"` in the summary JSON) whose values
-/// legitimately shift with how the run was split, and the last *is*
-/// the split width.
-fn assert_summaries_match(a: &RunSummary, b: &RunSummary, label: &str) {
-    assert_eq!(a.events, b.events, "{label}: events");
-    assert_eq!(a.injected_packets, b.injected_packets, "{label}: injected");
-    assert_eq!(a.delivered_packets, b.delivered_packets, "{label}: delivered");
-    assert_eq!(a.out_of_order, b.out_of_order, "{label}: out_of_order");
-    assert_eq!(a.broken_messages, b.broken_messages, "{label}: broken");
-    assert_eq!(a.residual_packets, b.residual_packets, "{label}: residual");
-    assert_eq!(a.take_over_total, b.take_over_total, "{label}: take_over");
-    assert_eq!(a.order_errors, b.order_errors, "{label}: order_errors");
-    assert_eq!(a.admission_fallbacks, b.admission_fallbacks, "{label}: fallbacks");
-    assert_eq!(a.offered_messages, b.offered_messages, "{label}: offered");
-    assert_eq!(a.dropped_packets, b.dropped_packets, "{label}: dropped");
-    assert_eq!(a.corrupted_packets, b.corrupted_packets, "{label}: corrupted");
-    assert_eq!(a.credits_lost, b.credits_lost, "{label}: credits_lost");
-    assert_eq!(a.reroutes, b.reroutes, "{label}: reroutes");
-    assert_eq!(a.reroute_rejections, b.reroute_rejections, "{label}: rejections");
-    assert_eq!(a.readmissions, b.readmissions, "{label}: readmissions");
-    assert_eq!(a.route_invalidations, b.route_invalidations, "{label}: invalidations");
-}
-
-fn run_at(workers: usize, base: SimConfig, plan: Option<&FaultPlan>) -> (String, RunSummary) {
-    let mut c = base;
-    c.workers = workers;
-    let net = match plan {
+fn network(c: SimConfig, plan: Option<&FaultPlan>) -> Network {
+    match plan {
         Some(p) => Network::with_faults(c, p),
         None => Network::new(c),
-    };
-    let (report, summary) = net.try_run().expect("matrix run completes");
-    (report.to_json(), summary)
+    }
 }
 
-/// The tentpole's acceptance gate: serial (workers = 1) and parallel
-/// (workers = 2, the most this 2-leaf topology partitions into) produce
-/// byte-identical report JSON for every architecture × seed × fault
-/// scenario.
+/// `(report digest, events)` of one run.
+fn run_digest(c: SimConfig, plan: Option<&FaultPlan>) -> (u64, u64) {
+    let (report, summary) = network(c, plan).try_run().expect("matrix run completes");
+    (fnv1a(report.to_json().as_bytes()), summary.events)
+}
+
+/// `(architecture, seed, fault scenario, report digest, events)`.
+const MATRIX: [(Architecture, u64, &str, u64, u64); 36] = [
+    (Architecture::Traditional2Vc, 11, "none", 0x4ebc2dad52f8088f, 197963),
+    (Architecture::Traditional2Vc, 11, "spine-down", 0x122772275704c151, 197922),
+    (Architecture::Traditional2Vc, 11, "drop-impair", 0x638eda3543db7528, 197818),
+    (Architecture::Traditional2Vc, 222, "none", 0x3d6fddff7c8b2df6, 182830),
+    (Architecture::Traditional2Vc, 222, "spine-down", 0x72a6a7a9b6f2d69d, 182681),
+    (Architecture::Traditional2Vc, 222, "drop-impair", 0xde96e0073ad0e9b6, 182675),
+    (Architecture::Traditional2Vc, 3333, "none", 0x33c5f2b9d5d07fc9, 187153),
+    (Architecture::Traditional2Vc, 3333, "spine-down", 0x078931e936f23d46, 186950),
+    (Architecture::Traditional2Vc, 3333, "drop-impair", 0xf6bfe10e758cf00e, 186988),
+    (Architecture::Ideal, 11, "none", 0x874c7e68e8d9aefe, 200224),
+    (Architecture::Ideal, 11, "spine-down", 0x2a7dab226f5d5b99, 200219),
+    (Architecture::Ideal, 11, "drop-impair", 0xa253ca2a03132a47, 200079),
+    (Architecture::Ideal, 222, "none", 0xa04f2812e8cb73d5, 185039),
+    (Architecture::Ideal, 222, "spine-down", 0x8fc34aff86e21b01, 184969),
+    (Architecture::Ideal, 222, "drop-impair", 0xfd591ecc7d932eec, 184884),
+    (Architecture::Ideal, 3333, "none", 0x92c65d97f6af9b3c, 189466),
+    (Architecture::Ideal, 3333, "spine-down", 0xa499c29350f8efa0, 189400),
+    (Architecture::Ideal, 3333, "drop-impair", 0x6f01e923f8eb1b3f, 189301),
+    (Architecture::Simple2Vc, 11, "none", 0x0d48a8ed3d517b41, 200224),
+    (Architecture::Simple2Vc, 11, "spine-down", 0x75fa9a092ba018df, 200219),
+    (Architecture::Simple2Vc, 11, "drop-impair", 0xee73946af7c5cbac, 200079),
+    (Architecture::Simple2Vc, 222, "none", 0x4d2c930e6963305a, 185039),
+    (Architecture::Simple2Vc, 222, "spine-down", 0xc3a4de9fb9adf213, 184981),
+    (Architecture::Simple2Vc, 222, "drop-impair", 0x43497aaaefd30b19, 184884),
+    (Architecture::Simple2Vc, 3333, "none", 0x3807437fadc17350, 189466),
+    (Architecture::Simple2Vc, 3333, "spine-down", 0x3d12a3ad85a6122c, 189390),
+    (Architecture::Simple2Vc, 3333, "drop-impair", 0xeeafb15b2a67ba25, 189301),
+    (Architecture::Advanced2Vc, 11, "none", 0x41a95067f54824d7, 200224),
+    (Architecture::Advanced2Vc, 11, "spine-down", 0x7587bc2711fb8695, 200219),
+    (Architecture::Advanced2Vc, 11, "drop-impair", 0xc334db4b84082fcf, 200079),
+    (Architecture::Advanced2Vc, 222, "none", 0xeae6a2d6846b6bab, 185039),
+    (Architecture::Advanced2Vc, 222, "spine-down", 0x237ad5a8df78f13e, 184969),
+    (Architecture::Advanced2Vc, 222, "drop-impair", 0x8dab18cac8a2624e, 184884),
+    (Architecture::Advanced2Vc, 3333, "none", 0x35d709eb460b3a4d, 189466),
+    (Architecture::Advanced2Vc, 3333, "spine-down", 0x7cb5ff9a137e6594, 189400),
+    (Architecture::Advanced2Vc, 3333, "drop-impair", 0x574dfef9a30580c2, 189301),
+];
+
+/// Every architecture × seed × fault scenario reproduces its recorded
+/// report byte for byte.
 #[test]
-fn parallel_matches_serial_across_arch_seed_and_faults() {
+fn reports_match_golden_digests_across_arch_seed_and_faults() {
     let topo = FoldedClos::build(cfg(0).topology);
-    for arch in Architecture::ALL {
-        for seed in [11u64, 222, 3_333] {
-            for (fault_label, plan) in fault_scenarios(&topo) {
-                let label = format!("{arch:?}/seed{seed}/{fault_label}");
-                eprintln!("matrix: {label}");
-                let mut base = cfg(seed);
-                base.arch = arch;
-                let (j1, s1) = run_at(1, base, plan.as_ref());
-                let (j2, s2) = run_at(2, base, plan.as_ref());
-                assert_eq!(j1, j2, "{label}: report JSON diverged");
-                assert_summaries_match(&s1, &s2, &label);
-            }
-        }
+    let scenarios = fault_scenarios(&topo);
+    for (arch, seed, fault_label, digest, events) in MATRIX {
+        let label = format!("{arch:?}/seed{seed}/{fault_label}");
+        let plan = scenarios
+            .iter()
+            .find(|(l, _)| *l == fault_label)
+            .map(|(_, p)| p.as_ref())
+            .expect("matrix names a known scenario");
+        let mut c = cfg(seed);
+        c.arch = arch;
+        assert_eq!(run_digest(c, plan), (digest, events), "{label}: report diverged");
     }
 }
 
-/// Four-way partitioning on a 4-leaf network, including an
-/// oversubscribed worker count (clamped to the leaf count) and a
-/// truncated run (horizon stops mid-flight).
+/// Random clock offsets: local-time translation happens inside the
+/// models, TTDs cross between them, and the report is still the
+/// recorded one.
 #[test]
-fn wider_partitioning_and_truncation_stay_exact() {
-    let mut base = cfg(99);
-    base.topology = ClosParams::scaled(32);
-    let (j1, s1) = run_at(1, base, None);
-    for workers in [2usize, 4, 64] {
-        let (jw, sw) = run_at(workers, base, None);
-        assert_eq!(j1, jw, "workers={workers}: report JSON diverged");
-        assert_summaries_match(&s1, &sw, &format!("workers={workers}"));
-    }
-    let mut t1 = base;
-    t1.workers = 1;
-    let mut t4 = base;
-    t4.workers = 4;
-    let (r1, c1) = Network::new(t1).run_truncated();
-    let (r4, c4) = Network::new(t4).run_truncated();
-    assert_eq!(r1.to_json(), r4.to_json(), "truncated reports diverged");
-    assert_eq!(c1.events, c4.events, "truncated event counts diverged");
+fn clock_offsets_match_golden_digest() {
+    let mut c = cfg(5);
+    c.clocks = deadline_qos::netsim::ClockOffsets::RandomUpTo(1_000_000);
+    assert_eq!(run_digest(c, None), (0x6cb536381d7e960c, 195_240));
 }
 
-/// The 8-worker row: a 64-host (8-leaf) network partitioned all the
-/// way out, crossed with the fault scenarios and with tracing enabled —
-/// the widest free-running configuration the matrix exercises. Reports
-/// (trace section included) and exported trace bytes must match the
-/// serial oracle bit for bit.
+/// A 4-leaf network, run to drain and truncated at the window end (the
+/// horizon stops mid-flight). The statistics window closes before the
+/// drain, so both runs report the same figures.
 #[test]
-fn eight_workers_match_serial_with_faults_and_tracing() {
+fn wider_network_and_truncation_match_golden_digests() {
+    let mut c = cfg(99);
+    c.topology = ClosParams::scaled(32);
+    assert_eq!(run_digest(c, None), (0xe9c2f8d8ede65f1e, 434_361));
+    let (report, summary) = Network::new(c).run_truncated();
+    assert_eq!(
+        (fnv1a(report.to_json().as_bytes()), summary.events),
+        (0xe9c2f8d8ede65f1e, 400_887),
+        "truncated run diverged"
+    );
+}
+
+/// A 64-host (8-leaf) network crossed with the fault scenarios and with
+/// tracing off and on: reports (trace section included) and exported
+/// trace bytes reproduce their recorded digests.
+#[test]
+fn traced_fault_runs_match_golden_report_and_trace_digests() {
+    // `(scenario, traced, report digest, trace digest, events)`.
+    const GOLDEN: [(&str, bool, u64, u64, u64); 6] = [
+        ("none", false, 0x6f3e54d0a103b23b, 0xcbf29ce484222325, 908971),
+        ("none", true, 0xf74cee501a9ca67a, 0x3797668db5babbc8, 908971),
+        ("spine-down", false, 0xf3153768b4790fda, 0xcbf29ce484222325, 908846),
+        ("spine-down", true, 0xae4421d41ca174d6, 0x670281f6ce5378f3, 908846),
+        ("drop-impair", false, 0xcd15f2bbc35f83a0, 0xcbf29ce484222325, 908721),
+        ("drop-impair", true, 0x42d40c4c5c255a4c, 0xbfe8cf06601ca9db, 908721),
+    ];
     let mut base = cfg(77);
     base.topology = ClosParams::scaled(64);
     let topo = FoldedClos::build(base.topology);
-    for (fault_label, plan) in fault_scenarios(&topo) {
-        for trace_on in [false, true] {
-            let label = format!("{fault_label}/trace={trace_on}");
-            eprintln!("8-worker matrix: {label}");
-            let mut c = base;
-            if trace_on {
-                c.trace = TraceSettings::on();
-            }
-            let run = |workers: usize| {
-                let mut c = c;
-                c.workers = workers;
-                let net = match plan.as_ref() {
-                    Some(p) => Network::with_faults(c, p),
-                    None => Network::new(c),
-                };
-                let (report, summary, trace) =
-                    net.try_run_traced().expect("matrix run completes");
-                (report.to_json(), summary, jsonl_bytes(&trace))
-            };
-            let (j1, s1, t1) = run(1);
-            let (j8, s8, t8) = run(8);
-            assert_eq!(j1, j8, "{label}: report JSON diverged at 8 workers");
-            assert_summaries_match(&s1, &s8, &label);
-            assert_eq!(t1, t8, "{label}: trace bytes diverged at 8 workers");
-            assert_eq!(s8.partitions, 8, "{label}: expected an 8-way split");
+    let scenarios = fault_scenarios(&topo);
+    for (fault_label, traced, report_digest, trace_digest, events) in GOLDEN {
+        let label = format!("{fault_label}/trace={traced}");
+        eprintln!("64-host matrix: {label}");
+        let plan = scenarios.iter().find(|(l, _)| *l == fault_label).and_then(|(_, p)| p.as_ref());
+        let mut c = base;
+        if traced {
+            c.trace = TraceSettings::on();
         }
+        let (report, summary, trace) =
+            network(c, plan).try_run_traced().expect("matrix run completes");
+        assert_eq!(trace.is_empty(), !traced, "{label}");
+        assert_eq!(
+            (fnv1a(report.to_json().as_bytes()), fnv1a(&jsonl_bytes(&trace)), summary.events),
+            (report_digest, trace_digest, events),
+            "{label}: report or trace diverged"
+        );
     }
 }
 
 /// Calendar events carry no packets: a token on a wire waits in the
 /// receiving link's FIFO and the arrival pops the oldest, so FIFO order
 /// must equal arrival order on every link. Wire drops (which push
-/// nothing), corruption, wires long enough to hold many tokens at once
-/// (past the FIFO's inline cells), and partition-crossing links whose
-/// tokens are queued at ring drain must all leave the report identical
-/// to the serial run and conserve packets, at every worker count.
+/// nothing), corruption and wires long enough to hold many tokens at
+/// once (past the FIFO's inline cells) must all conserve packets and
+/// leave the report at its recorded digest.
 #[test]
-fn wire_fifos_keep_arrival_order_under_drops_at_every_worker_count() {
-    let mut base = cfg(91);
-    base.topology = ClosParams::scaled(64);
-    base.measure = SimDuration::from_us(500);
+fn wire_fifos_keep_arrival_order_under_drops() {
+    let mut c = cfg(91);
+    c.topology = ClosParams::scaled(64);
+    c.measure = SimDuration::from_us(500);
     // 400 ns of flight holds several short packets on one wire (up to
     // five in this run, so FIFOs spill past their two inline cells).
-    base.wire_delay = SimDuration::from_ns(400);
-    let p = base.topology;
+    c.wire_delay = SimDuration::from_ns(400);
+    let p = c.topology;
     let mut plan = FaultPlan::new(0xF1F0);
     let lossy = |selector| LinkImpairment {
         selector,
@@ -229,38 +248,22 @@ fn wire_fifos_keep_arrival_order_under_drops_at_every_worker_count() {
     for host in [0u32, 9, 33, 63] {
         plan = plan.impair(lossy(LinkSelector::HostLink(host)));
     }
-    let run = |workers: usize| {
-        let mut c = base;
-        c.workers = workers;
-        let (report, summary) =
-            Network::with_faults(c, &plan).try_run().expect("lossy run completes");
-        summary.check().expect("conservation counts every drop and corruption");
-        assert_eq!(summary.partitions, workers as u64);
-        (report.to_json(), summary)
-    };
-    let (j1, s1) = run(1);
-    assert!(
-        s1.dropped_packets > 0 && s1.corrupted_packets > 0,
-        "the plan must drop and corrupt ({} / {})",
-        s1.dropped_packets,
-        s1.corrupted_packets
+    let (report, summary) = Network::with_faults(c, &plan).try_run().expect("lossy run completes");
+    summary.check().expect("conservation counts every drop and corruption");
+    assert_eq!((summary.dropped_packets, summary.corrupted_packets), (387, 224));
+    assert_eq!(
+        (fnv1a(report.to_json().as_bytes()), summary.events),
+        (0xef4dd4ba65e859de, 567_115),
+        "report diverged"
     );
-    for workers in [2, 4, 8] {
-        let (j, s) = run(workers);
-        let label = format!("{workers} workers");
-        assert_eq!(j, j1, "{label}: report JSON diverged");
-        assert_summaries_match(&s1, &s, &label);
-    }
 }
 
 /// `peak_pending_events` is a diagnostic of the simulator, not of the
-/// simulated network: it appears in the summary JSON with its
-/// aggregation marker and never in the report.
+/// simulated network: it appears in the summary JSON and never in the
+/// report.
 #[test]
 fn peak_pending_events_stays_out_of_the_report() {
-    let mut c = cfg(12);
-    c.workers = 2;
-    let (report, summary) = Network::new(c).run();
+    let (report, summary) = Network::new(cfg(12)).run();
     assert!(summary.peak_pending_events > 0);
     let report_json = report.to_json();
     assert!(!report_json.contains("peak_pending"), "diagnostic leaked into the report");
@@ -268,42 +271,24 @@ fn peak_pending_events_stays_out_of_the_report() {
     assert!(summary_json.contains("peak_pending_events"), "{summary_json}");
     let back = RunSummary::from_json_value(&summary.to_json_value()).expect("roundtrip");
     assert_eq!(back.peak_pending_events, summary.peak_pending_events);
-    // A serial run of the same config emits the identical report.
-    c.workers = 1;
-    assert_eq!(Network::new(c).run().0.to_json(), report_json);
+    assert_eq!(back.peak_in_flight, summary.peak_in_flight);
 }
 
-/// A zero-lookahead neighbour configuration must be *rejected up
-/// front* with [`SimError::Config`], not deadlock the safe-time
-/// ratchet: with `wire_delay = credit_delay = 0` no partition edge can
-/// ever promise its neighbours a minimum latency, so the free-running
-/// executor has nothing to advance on.
+/// A run is one event loop: any `workers` other than 1 is rejected up
+/// front with [`SimError::Config`], and `run` panics with that message.
 #[test]
-fn zero_lookahead_config_errors_instead_of_deadlocking() {
-    let mut c = cfg(3);
-    c.wire_delay = SimDuration::ZERO;
-    c.credit_delay = SimDuration::ZERO;
-    c.workers = 2;
-    match Network::new(c).try_run() {
-        Err(SimError::Config { detail }) => {
-            assert!(
-                detail.contains("lookahead"),
-                "Config detail should name the zero-lookahead edge: {detail}"
-            );
+fn workers_other_than_one_is_a_config_error() {
+    for workers in [0usize, 2, 8] {
+        let mut c = cfg(3);
+        c.workers = workers;
+        match Network::new(c).try_run() {
+            Err(SimError::Config { detail }) => {
+                assert!(detail.contains("workers"), "detail should name the field: {detail}");
+            }
+            Err(e) => panic!("workers={workers}: expected SimError::Config, got {e}"),
+            Ok(_) => panic!("workers={workers}: run succeeded"),
         }
-        Err(e) => panic!("expected SimError::Config, got {e}"),
-        Ok(_) => panic!("zero-lookahead parallel run succeeded — ratchet cannot be sound"),
+        let panic = std::panic::catch_unwind(move || Network::new(c).run());
+        assert!(panic.is_err(), "workers={workers}: run must panic");
     }
-}
-
-/// Random clock offsets must not perturb equivalence: local-time
-/// translation happens inside partitions, TTDs cross between them.
-#[test]
-fn parallel_matches_serial_under_clock_offsets() {
-    let mut base = cfg(5);
-    base.clocks = deadline_qos::netsim::ClockOffsets::RandomUpTo(1_000_000);
-    let (j1, s1) = run_at(1, base, None);
-    let (j2, s2) = run_at(2, base, None);
-    assert_eq!(j1, j2, "clock offsets broke serial/parallel equivalence");
-    assert_summaries_match(&s1, &s2, "clock-offsets");
 }

@@ -9,12 +9,11 @@
 //! video plateau, the weighted best-effort split — not exact samples.
 //!
 //! One run per architecture serves all four checks; the four runs are
-//! independent simulations and execute in parallel via the experiment
-//! harness.
+//! independent simulations and execute in parallel ([`par_map`]).
 
 use deadline_qos::core::Architecture;
-use deadline_qos::netsim::{run_load_sweep, SimConfig};
-use deadline_qos::sim_core::SimDuration;
+use deadline_qos::netsim::{run_one, RunSummary, SimConfig};
+use deadline_qos::sim_core::{default_workers, par_map, SimDuration};
 use deadline_qos::stats::Report;
 use deadline_qos::topology::ClosParams;
 
@@ -30,6 +29,13 @@ fn conformance_cfg(arch: Architecture, load: f64) -> SimConfig {
     c.warmup = SimDuration::from_ms(12);
     c.measure = SimDuration::from_ms(6);
     c
+}
+
+/// One architecture's run at full load.
+struct Run {
+    arch: Architecture,
+    report: Report,
+    summary: RunSummary,
 }
 
 fn class<'r>(r: &'r Report, name: &str) -> &'r deadline_qos::stats::ClassStats {
@@ -54,20 +60,23 @@ fn delivered_bytes(r: &Report, name: &str) -> f64 {
 
 #[test]
 fn table1_shares_and_figure_orderings_hold_at_16_hosts() {
-    let results = run_load_sweep(&Architecture::ALL, &[1.0], conformance_cfg);
+    let archs = Architecture::ALL.to_vec();
+    let results: Vec<Run> = par_map(archs, default_workers(Architecture::ALL.len()), |arch| {
+        let (report, summary) = run_one(conformance_cfg(arch, 1.0));
+        Run { arch, report, summary }
+    });
     let report_of = |arch: Architecture| -> &Report {
         &results
             .iter()
             .find(|r| r.arch == arch)
             .unwrap_or_else(|| panic!("sweep lacks {arch:?}"))
-            .points[0]
             .report
     };
 
     // Basic health of every run first: the orderings below are
     // meaningless if the fabric misbehaved.
     for r in &results {
-        let s = &r.points[0].summary;
+        let s = &r.summary;
         assert_eq!(s.out_of_order, 0, "{:?}: out-of-order deliveries", r.arch);
         assert_eq!(s.broken_messages, 0, "{:?}: broken messages", r.arch);
         assert!(s.delivered_packets > 0, "{:?}: no traffic", r.arch);
@@ -78,7 +87,7 @@ fn table1_shares_and_figure_orderings_hold_at_16_hosts() {
     // Offered traffic is architecture-independent, but asserting per
     // architecture is free and catches stamping-path regressions.
     for r in &results {
-        let report = &r.points[0].report;
+        let report = &r.report;
         let total: f64 = CLASSES.iter().map(|c| class(report, c).offered.bytes() as f64).sum();
         assert!(total > 0.0, "{:?}: no offered traffic", r.arch);
         for name in CLASSES {
