@@ -3,12 +3,13 @@
 //! The paper's case for the two-queue system is cost: a FIFO pair is
 //! hardware-trivial while a heap ("Ideal") is not. In software the same
 //! ordering shows up as per-operation cost: an enqueue+dequeue churn at
-//! several occupancies for each structure.
+//! several occupancies for each structure the switches run (the ones
+//! `AnyQueue::for_kind` builds).
 //!
 //! Run: `cargo bench -p dqos-bench --bench queue_micro`
 
 use dqos_bench::harness::measure;
-use dqos_queues::{FifoQueue, HeapQueue, SchedQueue, TwoQueue};
+use dqos_queues::{FlatFifo, FlatTwoQueue, HeapQueue, SchedQueue};
 use dqos_sim_core::{SimRng, SimTime};
 use std::hint::black_box;
 
@@ -68,10 +69,10 @@ fn main() {
     println!("# queue churn micro-bench ({n} ops per repetition)\n");
     for occupancy in [4usize, 64, 1024] {
         measure(&format!("queue_churn/fifo/{occupancy}"), n, 9, || {
-            black_box(churn(&mut FifoQueue::new(), &stream, occupancy))
+            black_box(churn(&mut FlatFifo::new(), &stream, occupancy))
         });
         measure(&format!("queue_churn/two_queue/{occupancy}"), n, 9, || {
-            black_box(churn(&mut TwoQueue::new(), &stream, occupancy))
+            black_box(churn(&mut FlatTwoQueue::new(), &stream, occupancy))
         });
         measure(&format!("queue_churn/heap/{occupancy}"), n, 9, || {
             black_box(churn(&mut HeapQueue::new(), &stream, occupancy))

@@ -1,8 +1,9 @@
 //! Actions emitted by node models (switches, NICs) toward the event loop.
 //!
 //! The switch and end-host models are pure state machines: the simulator
-//! calls their `on_*` handlers and receives a list of [`NodeAction`]s to
-//! turn into scheduled events. Keeping the models event-loop-agnostic
+//! calls their `on_*` handlers directly, and each handler pushes
+//! [`NodeAction`]s into a caller-owned scratch buffer for the simulator
+//! to turn into scheduled events. Keeping the models event-loop-agnostic
 //! makes them unit-testable in isolation and reusable outside the full
 //! network simulation.
 

@@ -22,17 +22,15 @@
 //!   bandwidth ledger and load-balanced fixed-path assignment.
 //! * [`arch`] — descriptors for the four evaluated switch architectures
 //!   (*Traditional 2 VCs*, *Ideal*, *Simple 2 VCs*, *Advanced 2 VCs*).
-//! * [`model`] / [`action`] — the component contract: every network
-//!   element is a [`NodeModel`](model::NodeModel) state machine that
-//!   consumes typed events and emits [`NodeAction`]s for the runtime to
-//!   schedule.
+//! * [`action`] — what a switch or NIC handler asks the runtime to
+//!   schedule: every network element is a state machine whose `on_*`
+//!   handlers push [`NodeAction`]s into a caller-owned buffer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod action;
 pub mod admission;
-pub mod model;
 pub mod arch;
 pub mod class;
 pub mod clock;
@@ -48,5 +46,4 @@ pub use clock::{ClockDomain, Ttd};
 pub use deadline::{segment_message, segment_message_into, DeadlineMode, Stamper};
 pub use deadline::StampedTimes;
 pub use flow::{Flow, FlowId, FlowSpec, PartStamp};
-pub use model::{Actions, NicEvent, NodeModel, SwitchEvent};
 pub use packet::{MsgTag, Packet, PacketId, PktTok};

@@ -11,9 +11,8 @@
 //! and application messages are reassembled so frame latency can be
 //! reported as in Figure 3.
 
-use dqos_core::{NodeAction, NodeModel, Packet, TrafficClass};
+use dqos_core::{Packet, TrafficClass, Vc};
 use dqos_sim_core::SimTime;
-use dqos_topology::Port;
 
 /// A fully reassembled application message (frame, control message, or
 /// best-effort transfer).
@@ -152,14 +151,16 @@ impl Sink {
         self.stats
     }
 
-    /// A packet arrived at global time `now`. Returns the credit action
-    /// for the upstream switch and, if this packet completed a message,
-    /// the reassembled record.
+    /// A packet arrived at global time `now` (sinks keep no clock domain
+    /// of their own, so completion latencies compare across hosts
+    /// regardless of skew). Returns the credit for the upstream switch,
+    /// as (virtual channel, freed bytes), and, if this packet completed
+    /// a message, the reassembled record.
     pub fn on_packet(
         &mut self,
         pkt: &Packet,
         now: SimTime,
-    ) -> (NodeAction, Option<CompletedMessage>) {
+    ) -> ((Vc, u32), Option<CompletedMessage>) {
         self.stats.packets += 1;
         self.stats.bytes += pkt.len as u64;
 
@@ -211,20 +212,7 @@ impl Sink {
         };
 
         // Host consumes instantly: buffer space frees now.
-        let credit = NodeAction::SendCredit { in_port: Port(0), vc: pkt.vc(), bytes: pkt.len };
-        (credit, completed)
-    }
-}
-
-impl NodeModel for Sink {
-    type Event = Packet;
-    type Effect = (NodeAction, Option<CompletedMessage>);
-
-    /// Sinks keep no clock domain of their own: `local` here is the
-    /// **global** arrival time, so completion latencies are comparable
-    /// across hosts regardless of skew.
-    fn on_event(&mut self, local: SimTime, pkt: Packet) -> Self::Effect {
-        self.on_packet(&pkt, local)
+        ((pkt.vc(), pkt.len), completed)
     }
 }
 
@@ -232,7 +220,7 @@ impl NodeModel for Sink {
 mod tests {
     use super::*;
     use dqos_core::{FlowId, MsgTag};
-    use dqos_topology::{HostId, Route, RouteHop, SwitchId};
+    use dqos_topology::{HostId, Port, Route, RouteHop, SwitchId};
 
     fn pkt(flow: u32, msg_id: u64, part: u32, parts: u32, len: u32) -> Packet {
         Packet {
@@ -261,7 +249,7 @@ mod tests {
     fn single_packet_message_completes() {
         let mut s = Sink::new();
         let (credit, done) = s.on_packet(&pkt(0, 1, 0, 1, 512), SimTime::from_us(9));
-        assert!(matches!(credit, NodeAction::SendCredit { bytes: 512, .. }));
+        assert_eq!(credit, (Vc::REGULATED, 512));
         let m = done.unwrap();
         assert_eq!(m.bytes, 512);
         assert_eq!(m.parts, 1);

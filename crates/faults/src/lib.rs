@@ -31,14 +31,11 @@
 //!
 //! Mutable link up/down state lives in a separate [`LinkState`], mutated
 //! only at the plan's timed instants, apart from the stochastic tables.
-//! The timed schedule itself is driven
-//! through [`FaultInjector`], the fault subsystem's
-//! [`NodeModel`](dqos_core::NodeModel).
+//! The timed schedule itself is driven through [`FaultInjector`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dqos_core::NodeModel;
 use dqos_sim_core::{SimTime, SplitMix64};
 use dqos_topology::{FoldedClos, HostId, LinkId, SwitchId};
 
@@ -357,11 +354,10 @@ impl LinkState {
     }
 }
 
-/// The timed-fault schedule as a [`NodeModel`]: event `idx` selects the
-/// `idx`-th entry of the compiled schedule, the effect is the set of
-/// links whose state changed plus their new state. The runtime drives
-/// one injector per simulation (at the executor's epochs) and fans the
-/// changed links out to routing, admission, and the per-link down flags.
+/// The timed-fault schedule with its live link state. The runtime drives
+/// one injector per simulation (at the executor's epochs) through
+/// [`FaultInjector::apply`] and fans the changed links out to routing,
+/// admission, and the per-link down flags.
 #[derive(Debug)]
 pub struct FaultInjector {
     timed: Vec<CompiledTimed>,
@@ -378,13 +374,10 @@ impl FaultInjector {
     pub fn timed(&self) -> &[CompiledTimed] {
         &self.timed
     }
-}
 
-impl NodeModel for FaultInjector {
-    type Event = usize;
-    type Effect = (Vec<LinkId>, bool);
-
-    fn on_event(&mut self, _local: SimTime, idx: usize) -> (Vec<LinkId>, bool) {
+    /// Apply the `idx`-th entry of the schedule: the links whose state
+    /// changed, plus their new state (`true` = down).
+    pub fn apply(&mut self, idx: usize) -> (Vec<LinkId>, bool) {
         let t = self.timed[idx].clone();
         self.state.apply_timed(&t)
     }
@@ -771,11 +764,9 @@ mod tests {
             .at(SimTime::from_ms(2), FaultKind::LinkUp(sel));
         let mut c = plan.compile(&net);
         let mut inj = c.injector();
-        use dqos_core::NodeModel;
         for idx in 0..c.timed().len() {
-            let at = c.timed()[idx].at;
             let (a, da) = c.apply_timed(idx);
-            let (b, db) = inj.on_event(at, idx);
+            let (b, db) = inj.apply(idx);
             assert_eq!((a, da), (b, db));
         }
         assert!(!inj.state().is_down(net.host_out_link(HostId(2)).link));

@@ -286,7 +286,7 @@ impl FlowTable {
     /// Aggregated routes crossing a failed link are re-assigned over
     /// surviving spines, in src-major order.
     ///
-    /// Called at epoch fences, on every replica.
+    /// Called at the timed-fault epochs, from `Sim::on_epoch`.
     pub fn fail_links(&mut self, net: &FoldedClos, links: &[LinkId]) -> RerouteStats {
         let admission = &mut self.admission;
         for &l in links {
@@ -343,7 +343,7 @@ impl FlowTable {
     /// routing means a repair must not shuffle working flows, and
     /// aggregated routes likewise stay where failure put them.
     ///
-    /// Called at epoch fences, on every replica.
+    /// Called at the timed-fault epochs, from `Sim::on_epoch`.
     pub fn restore_links(&mut self, net: &FoldedClos, links: &[LinkId]) -> RerouteStats {
         for &l in links {
             self.admission.restore_link(l);

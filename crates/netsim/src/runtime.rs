@@ -44,9 +44,7 @@ use crate::collect::Collector;
 use crate::config::SimConfig;
 use crate::error::{SimError, StallSnapshot};
 use crate::flows::{FlowTable, RerouteStats};
-use dqos_core::{
-    ClockDomain, MsgTag, NodeAction, NodeModel, Packet, PktTok, StampedTimes, Vc, NUM_CLASSES,
-};
+use dqos_core::{ClockDomain, MsgTag, NodeAction, Packet, PktTok, StampedTimes, Vc, NUM_CLASSES};
 use dqos_endhost::{Nic, Sink};
 use dqos_faults::{CompiledFaults, FaultInjector};
 use dqos_sim_core::{Outbox, SimDuration, SimTime, World};
@@ -279,8 +277,8 @@ impl Sim<'_> {
         &mut self.switches[(sw_node - self.shared.n_hosts) as usize]
     }
 
-    /// Current up/down state of a directed link (replica flags, updated
-    /// only by epoch events).
+    /// Current up/down state of a directed link (the `link_down` flags,
+    /// updated only by epoch events).
     #[inline]
     fn link_is_down(&self, link: LinkId) -> bool {
         self.link_down[link.idx()]
@@ -826,16 +824,11 @@ impl Sim<'_> {
             }
         }
         let (class, len, created) = (pkt.class, pkt.len, pkt.msg.created_at);
-        let (credit, completed) = self.host_mut(host).sink.on_event(now, pkt);
+        let ((vc, bytes), completed) = self.host_mut(host).sink.on_packet(&pkt, now);
         self.collector.packet_delivered(class, len, created, now);
         if let Some(m) = completed {
             self.collector.message_completed(m.class, m.flow, m.created_at, m.completed_at);
         }
-        let NodeAction::SendCredit { vc, bytes, .. } = credit else {
-            // tidy: allow(no-unwrap) -- Sink::on_event returns SendCredit
-            // unconditionally; any other action is a simulator bug.
-            unreachable!("sink returns exactly one credit")
-        };
         self.delivery_credit(shared, host, vc, bytes, now, out);
     }
 
@@ -969,13 +962,12 @@ impl World for Sim<'_> {
     }
 
     /// Apply one timed-fault instant: flip link state through the
-    /// injector (a [`NodeModel`] in its own right), refresh the down
-    /// flags, and re-route/re-admit flows.
+    /// injector, refresh the down flags, and re-route/re-admit flows.
     fn on_epoch(&mut self, idx: usize) {
         let shared = self.shared;
-        let (at, ref timed_idxs) = shared.epoch_groups[idx];
+        let (_, ref timed_idxs) = shared.epoch_groups[idx];
         for &ti in timed_idxs {
-            let (links, down) = self.injector.on_event(at, ti);
+            let (links, down) = self.injector.apply(ti);
             for &l in &links {
                 self.link_down[l.idx()] = down;
             }

@@ -1,13 +1,35 @@
-//! Flat ring/slot storage for the hot-path queue structures.
+//! The FIFO and the ordered + take-over two-queue system of §3.4, on
+//! flat ring/slot storage.
 //!
-//! The original [`FifoQueue`](crate::fifo::FifoQueue) and
-//! [`TwoQueue`](crate::two_queue::TwoQueue) sit on `VecDeque`s, which are
-//! fine structures but carry per-call branch and bounds overhead the
-//! simulator's inner loop can feel at tens of millions of operations per
-//! second. The versions here keep the **identical observable semantics**
-//! (the differential tests at the bottom of this file replay random
-//! op-sequences against the originals as oracles) on top of a single
-//! power-of-two slot ring per queue:
+//! [`FlatFifo`] is the plain FIFO both baseline architectures use.
+//! Under *Traditional* arbitration the deadline at its head is ignored;
+//! under *Simple 2 VCs* the arbiter compares head deadlines across
+//! queues — correct whenever arrivals are deadline-ordered, and the
+//! source of the ≈25 % "order error" penalty when they are not (§3.2,
+//! §3.4).
+//!
+//! [`FlatTwoQueue`] is the paper's key hardware contribution: two plain
+//! FIFOs (hardware-cheap). Notation follows the appendix: `L` is the
+//! *ordered queue*, `U` the *take-over queue*.
+//!
+//! * **Enqueue** (Definition 1): if both queues are empty, or the
+//!   incoming deadline is ≥ the deadline at `L`'s tail, append to `L`;
+//!   otherwise append to `U`. `L` therefore stays deadline-sorted
+//!   (Theorem 1) and its tail holds the global maximum (Theorem 2).
+//! * **Dequeue** (Definition 2): take the smaller of the two heads —
+//!   this is how a late low-deadline packet "takes over" packets that
+//!   arrived before it but are due later. A state with packets only in
+//!   `U` is unreachable (Lemma 1).
+//!
+//! The appendix proves the discipline never reorders packets *within a
+//! flow* (Theorem 3), given that each flow's packets arrive in order
+//! with strictly increasing deadlines. The tests at the bottom of this
+//! file replay all four results against random and exhaustive
+//! arrival/service interleavings, on the bare structure and inside a
+//! [`Voq`](crate::voq::Voq) bank; the whole-network integration tests
+//! check the same end to end.
+//!
+//! Storage: a single power-of-two slot ring per queue.
 //!
 //! * slots are `Option<T>` in one contiguous `Vec`, head/length indices
 //!   wrap with a mask — no per-element allocation ever, and growth
@@ -20,10 +42,6 @@
 //!   key is *strictly* below the ordered key — which encodes Definition
 //!   2, Lemma 1 (empty-ordered ⇒ empty-take-over ⇒ both sentinels), and
 //!   the ties-go-to-ordered rule in one unsigned comparison.
-//!
-//! [`AnyQueue`](crate::traits::AnyQueue) dispatches to these for the
-//! `Fifo` and `TwoQueue` kinds; the originals remain exported (and
-//! covered by the paper's theorem suite) as the differential oracles.
 
 // tidy: hot-path
 
@@ -123,8 +141,7 @@ impl<T> Ring<T> {
     }
 }
 
-/// Flat-ring FIFO: observably identical to
-/// [`FifoQueue`](crate::fifo::FifoQueue).
+/// A FIFO queue with byte accounting, on one flat ring.
 #[derive(Debug, Clone)]
 pub struct FlatFifo<T> {
     ring: Ring<T>,
@@ -188,9 +205,32 @@ impl<T: Deadlined> SchedQueue<T> for FlatFifo<T> {
     }
 }
 
-/// Flat-ring two-queue system: observably identical to
-/// [`TwoQueue`](crate::two_queue::TwoQueue), with the dequeue-side
-/// head compare reduced to one branchless unsigned comparison.
+/// The two-queue buffer structure ("Advanced 2 VCs") on two flat
+/// rings, with the dequeue-side head compare reduced to one branchless
+/// unsigned comparison.
+///
+/// ```
+/// use dqos_queues::{FlatTwoQueue, SchedQueue};
+/// use dqos_sim_core::SimTime;
+///
+/// #[derive(Clone, Copy)]
+/// struct Pkt(u64);
+/// impl dqos_queues::Deadlined for Pkt {
+///     fn deadline(&self) -> SimTime { SimTime::from_ns(self.0) }
+///     fn len_bytes(&self) -> u32 { 100 }
+/// }
+///
+/// let mut q = FlatTwoQueue::new();
+/// q.enqueue(Pkt(100));
+/// q.enqueue(Pkt(500));   // ordered queue: 100, 500
+/// q.enqueue(Pkt(200));   // below the tail -> take-over queue
+/// assert_eq!(q.take_over_len(), 1);
+/// // Dequeue always serves the smaller of the two heads: the late
+/// // low-deadline packet overtakes 500 without reordering any flow.
+/// assert_eq!(q.dequeue().unwrap().0, 100);
+/// assert_eq!(q.dequeue().unwrap().0, 200);
+/// assert_eq!(q.dequeue().unwrap().0, 500);
+/// ```
 #[derive(Debug, Clone)]
 pub struct FlatTwoQueue<T> {
     /// Ordered queue (appendix: `L`).
@@ -198,6 +238,9 @@ pub struct FlatTwoQueue<T> {
     /// Take-over queue (appendix: `U`).
     take_over: Ring<T>,
     bytes: u64,
+    /// Cumulative count of packets routed to the take-over queue —
+    /// each one is an *order error* the Simple architecture would have
+    /// suffered. Diagnostic for the §3.4 / Figure 2 analysis.
     take_over_total: u64,
 }
 
@@ -252,8 +295,8 @@ impl<T: Deadlined> FlatTwoQueue<T> {
     }
 
     /// Which queue the dequeue candidate currently sits in (`None` when
-    /// empty). Same contract as
-    /// [`TwoQueue::candidate_is_take_over`](crate::two_queue::TwoQueue::candidate_is_take_over).
+    /// empty). Public so the switch can tag crossbar grants for the
+    /// flight recorder (was the winner served via the take-over path?).
     pub fn candidate_is_take_over(&self) -> Option<bool> {
         if self.ordered.len + self.take_over.len == 0 {
             None
@@ -262,8 +305,12 @@ impl<T: Deadlined> FlatTwoQueue<T> {
         }
     }
 
-    /// Debug check of Theorems 1 and 2 on the live structure (mirrors
-    /// the oracle's checker).
+    /// Debug check of Theorems 1 and 2 and Lemma 1 on the live
+    /// structure.
+    ///
+    /// * `L` is deadline-sorted.
+    /// * Every element of `U` is strictly below `L`'s tail deadline.
+    /// * `U` is empty whenever `L` is.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut prev: Option<SimTime> = None;
         for p in self.ordered.iter() {
@@ -365,38 +412,192 @@ impl<T: Deadlined> SchedQueue<T> for FlatTwoQueue<T> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Differential suite: flat vs. original, random op-sequences
-// ---------------------------------------------------------------------
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fifo::FifoQueue;
     use crate::traits::test_util::Item;
-    use crate::two_queue::TwoQueue;
     use crate::voq::Voq;
     use dqos_sim_core::SimRng;
+    use std::collections::{HashMap, VecDeque};
+
+    /// The FIFO reference model: `std`'s `VecDeque`.
+    impl SchedQueue<Item> for VecDeque<Item> {
+        fn enqueue(&mut self, item: Item) {
+            self.push_back(item);
+        }
+        fn head_deadline(&self) -> Option<SimTime> {
+            self.front().map(Deadlined::deadline)
+        }
+        fn peek(&self) -> Option<&Item> {
+            self.front()
+        }
+        fn dequeue(&mut self) -> Option<Item> {
+            self.pop_front()
+        }
+        fn min_deadline(&self) -> Option<SimTime> {
+            self.iter().map(Deadlined::deadline).min()
+        }
+        fn len(&self) -> usize {
+            VecDeque::len(self)
+        }
+        fn bytes(&self) -> u64 {
+            self.iter().map(|it| it.len as u64).sum()
+        }
+    }
+
+    /// The two-queue reference model: the appendix's Definitions 1 and 2
+    /// transcribed over two `VecDeque`s.
+    #[derive(Default)]
+    struct RefTwoQueue {
+        l: VecDeque<Item>,
+        u: VecDeque<Item>,
+        take_over_total: u64,
+    }
+
+    impl RefTwoQueue {
+        /// Definition 2: the take-over head is the candidate when it is
+        /// strictly more urgent than the ordered head.
+        fn candidate_is_take_over(&self) -> Option<bool> {
+            match (self.l.front(), self.u.front()) {
+                (None, None) => None,
+                (Some(_), None) => Some(false),
+                (l, Some(u)) => Some(l.is_none_or(|l| u.deadline < l.deadline)),
+            }
+        }
+    }
+
+    impl SchedQueue<Item> for RefTwoQueue {
+        /// Definition 1: below the ordered tail -> take-over queue.
+        fn enqueue(&mut self, item: Item) {
+            match self.l.back() {
+                Some(tail) if item.deadline < tail.deadline => {
+                    self.take_over_total += 1;
+                    self.u.push_back(item);
+                }
+                _ => self.l.push_back(item),
+            }
+        }
+        fn head_deadline(&self) -> Option<SimTime> {
+            self.peek().map(Deadlined::deadline)
+        }
+        fn peek(&self) -> Option<&Item> {
+            if self.candidate_is_take_over()? {
+                self.u.front()
+            } else {
+                self.l.front()
+            }
+        }
+        fn dequeue(&mut self) -> Option<Item> {
+            if self.candidate_is_take_over()? {
+                self.u.pop_front()
+            } else {
+                self.l.pop_front()
+            }
+        }
+        fn min_deadline(&self) -> Option<SimTime> {
+            self.l.iter().chain(&self.u).map(Deadlined::deadline).min()
+        }
+        fn len(&self) -> usize {
+            self.l.len() + self.u.len()
+        }
+        fn bytes(&self) -> u64 {
+            self.l.iter().chain(&self.u).map(|it| it.len as u64).sum()
+        }
+    }
+
+    #[test]
+    fn fifo_order_regardless_of_deadline() {
+        let mut q = FlatFifo::new();
+        q.enqueue(Item::new(0, 0, 100));
+        q.enqueue(Item::new(1, 0, 50)); // earlier deadline, behind in FIFO
+        assert_eq!(q.head_deadline(), Some(SimTime::from_ns(100)));
+        assert_eq!(q.min_deadline(), Some(SimTime::from_ns(50)));
+        assert_eq!(q.dequeue().unwrap().deadline, 100);
+        assert_eq!(q.dequeue().unwrap().deadline, 50);
+        assert!(q.dequeue().is_none());
+        assert!(q.peek().is_none());
+        assert!(q.head_deadline().is_none());
+    }
+
+    #[test]
+    fn in_order_arrivals_all_go_to_ordered() {
+        let mut q = FlatTwoQueue::new();
+        for i in 0..10 {
+            q.enqueue(Item::new(0, i, 100 * (i as u64 + 1)));
+        }
+        assert_eq!(q.ordered_len(), 10);
+        assert_eq!(q.take_over_len(), 0);
+        assert_eq!(q.take_over_total(), 0);
+    }
+
+    #[test]
+    fn late_low_deadline_packet_takes_over() {
+        let mut q = FlatTwoQueue::new();
+        q.enqueue(Item::new(0, 0, 100));
+        q.enqueue(Item::new(0, 1, 500)); // high deadline
+        q.enqueue(Item::new(1, 0, 200)); // lower than tail -> take-over
+        assert_eq!(q.take_over_len(), 1);
+        // Dequeue order: 100 (L), then 200 (U takes over 500), then 500.
+        assert_eq!(q.dequeue().unwrap().deadline, 100);
+        assert_eq!(q.candidate_is_take_over(), Some(true));
+        assert_eq!(q.dequeue().unwrap().deadline, 200);
+        assert_eq!(q.dequeue().unwrap().deadline, 500);
+        assert!(q.dequeue().is_none());
+        assert_eq!(q.candidate_is_take_over(), None);
+    }
+
+    #[test]
+    fn equal_deadline_goes_to_ordered() {
+        let mut q = FlatTwoQueue::new();
+        q.enqueue(Item::new(0, 0, 100));
+        q.enqueue(Item::new(1, 0, 100)); // ">=" tail -> ordered queue
+        assert_eq!(q.ordered_len(), 2);
+        assert_eq!(q.take_over_len(), 0);
+        // FIFO among equals.
+        assert_eq!(q.dequeue().unwrap().flow, 0);
+        assert_eq!(q.dequeue().unwrap().flow, 1);
+    }
+
+    #[test]
+    fn tie_between_heads_prefers_ordered() {
+        let mut q = FlatTwoQueue::new();
+        q.enqueue(Item::new(0, 0, 100));
+        q.enqueue(Item::new(0, 1, 300));
+        q.enqueue(Item::new(1, 0, 100)); // -> U, ties L's head
+        assert_eq!(q.dequeue().unwrap().flow, 0, "ordered head wins ties");
+        assert_eq!(q.dequeue().unwrap().flow, 1);
+    }
+
+    #[test]
+    fn byte_accounting_across_both_queues() {
+        let mut q = FlatTwoQueue::new();
+        q.enqueue(Item { flow: 0, seq: 0, deadline: 100, len: 10 });
+        q.enqueue(Item { flow: 0, seq: 1, deadline: 300, len: 20 });
+        q.enqueue(Item { flow: 1, seq: 0, deadline: 50, len: 40 }); // U
+        assert_eq!(q.bytes(), 70);
+        q.dequeue(); // 50 from U
+        assert_eq!(q.bytes(), 30);
+    }
 
     /// Assert every observable of the trait agrees between the flat
-    /// structure and its oracle at the current state.
-    fn assert_observables<A, B>(flat: &A, oracle: &B, step: usize)
+    /// structure and its reference model at the current state.
+    fn assert_observables<A, B>(flat: &A, reference: &B, step: usize)
     where
         A: SchedQueue<Item>,
         B: SchedQueue<Item>,
     {
-        assert_eq!(flat.len(), oracle.len(), "len diverged at step {step}");
-        assert_eq!(flat.bytes(), oracle.bytes(), "bytes diverged at step {step}");
-        assert_eq!(flat.is_empty(), oracle.is_empty(), "is_empty diverged at step {step}");
+        assert_eq!(flat.len(), reference.len(), "len diverged at step {step}");
+        assert_eq!(flat.bytes(), reference.bytes(), "bytes diverged at step {step}");
+        assert_eq!(flat.is_empty(), reference.is_empty(), "is_empty diverged at step {step}");
         assert_eq!(
             flat.head_deadline(),
-            oracle.head_deadline(),
+            reference.head_deadline(),
             "head_deadline diverged at step {step}"
         );
-        assert_eq!(flat.peek(), oracle.peek(), "peek diverged at step {step}");
+        assert_eq!(flat.peek(), reference.peek(), "peek diverged at step {step}");
         assert_eq!(
             flat.min_deadline(),
-            oracle.min_deadline(),
+            reference.min_deadline(),
             "min_deadline diverged at step {step}"
         );
     }
@@ -413,9 +614,9 @@ mod tests {
     }
 
     /// Drive identical random op-sequences (biased toward enqueue so the
-    /// structures fill and wrap) through a flat structure and its oracle,
-    /// checking every observable after every op.
-    fn differential<A, B>(mut flat: A, mut oracle: B, seed: u64, ops: usize)
+    /// structures fill and wrap) through a flat structure and its
+    /// reference model, checking every observable after every op.
+    fn differential<A, B>(mut flat: A, mut reference: B, seed: u64, ops: usize)
     where
         A: SchedQueue<Item>,
         B: SchedQueue<Item>,
@@ -427,16 +628,16 @@ mod tests {
                 let item = random_item(&mut rng, seq);
                 seq += 1;
                 flat.enqueue(item);
-                oracle.enqueue(item);
+                reference.enqueue(item);
             } else {
-                assert_eq!(flat.dequeue(), oracle.dequeue(), "dequeue diverged at step {step}");
+                assert_eq!(flat.dequeue(), reference.dequeue(), "dequeue diverged at step {step}");
             }
-            assert_observables(&flat, &oracle, step);
+            assert_observables(&flat, &reference, step);
         }
         // Drain both to the end: the wrap-around exit path must agree too.
         loop {
-            let (f, o) = (flat.dequeue(), oracle.dequeue());
-            assert_eq!(f, o, "drain diverged");
+            let (f, r) = (flat.dequeue(), reference.dequeue());
+            assert_eq!(f, r, "drain diverged");
             if f.is_none() {
                 break;
             }
@@ -444,16 +645,16 @@ mod tests {
     }
 
     #[test]
-    fn flat_fifo_matches_fifo_oracle() {
+    fn flat_fifo_matches_vecdeque() {
         for seed in [1u64, 0xF1F0, 0xDEAD_BEEF] {
-            differential(FlatFifo::new(), FifoQueue::new(), seed, 2_000);
+            differential(FlatFifo::new(), VecDeque::new(), seed, 2_000);
         }
     }
 
     #[test]
-    fn flat_two_queue_matches_two_queue_oracle() {
+    fn flat_two_queue_matches_reference() {
         for seed in [2u64, 0x2277, 0xCAFE_F00D] {
-            differential(FlatTwoQueue::new(), TwoQueue::new(), seed, 2_000);
+            differential(FlatTwoQueue::new(), RefTwoQueue::default(), seed, 2_000);
         }
     }
 
@@ -464,65 +665,30 @@ mod tests {
     fn flat_two_queue_matches_take_over_accounting() {
         let mut rng = SimRng::new(0x7A0C);
         let mut flat = FlatTwoQueue::new();
-        let mut oracle = TwoQueue::new();
+        let mut reference = RefTwoQueue::default();
         let mut seq = 0u32;
         for step in 0..3_000 {
             if rng.chance(0.55) {
                 let item = random_item(&mut rng, seq);
                 seq += 1;
                 flat.enqueue(item);
-                oracle.enqueue(item);
+                reference.enqueue(item);
             } else {
-                assert_eq!(flat.dequeue(), oracle.dequeue(), "dequeue diverged at step {step}");
+                assert_eq!(flat.dequeue(), reference.dequeue(), "dequeue diverged at step {step}");
             }
-            assert_eq!(flat.take_over_len(), oracle.take_over_len(), "U len at step {step}");
-            assert_eq!(flat.ordered_len(), oracle.ordered_len(), "L len at step {step}");
+            assert_eq!(flat.take_over_len(), reference.u.len(), "U len at step {step}");
+            assert_eq!(flat.ordered_len(), reference.l.len(), "L len at step {step}");
             assert_eq!(
                 flat.take_over_total(),
-                oracle.take_over_total(),
+                reference.take_over_total,
                 "take_over_total at step {step}"
             );
             assert_eq!(
                 flat.candidate_is_take_over(),
-                oracle.candidate_is_take_over(),
+                reference.candidate_is_take_over(),
                 "candidate tag at step {step}"
             );
             flat.check_invariants().unwrap();
-        }
-    }
-
-    /// VOQ banks composed over the flat structures behave identically to
-    /// banks over the originals under per-output random traffic.
-    #[test]
-    fn voq_over_flat_matches_voq_over_oracles() {
-        let n_out = 4;
-        let mut flat: Voq<FlatTwoQueue<Item>> = Voq::new(n_out, FlatTwoQueue::new);
-        let mut oracle: Voq<TwoQueue<Item>> = Voq::new(n_out, TwoQueue::new);
-        let mut rng = SimRng::new(0xB00);
-        let mut seq = 0u32;
-        for step in 0..2_000 {
-            let out = rng.index(n_out);
-            if rng.chance(0.6) {
-                let item = random_item(&mut rng, seq);
-                seq += 1;
-                flat.enqueue(out, item);
-                oracle.enqueue(out, item);
-            } else {
-                assert_eq!(
-                    flat.dequeue(out),
-                    oracle.dequeue(out),
-                    "voq dequeue diverged at step {step}"
-                );
-            }
-            assert_eq!(flat.total_len(), oracle.total_len(), "voq len at step {step}");
-            assert_eq!(flat.bytes(), oracle.bytes(), "voq bytes at step {step}");
-            for o in 0..n_out {
-                assert_eq!(
-                    flat.head_deadline(o),
-                    oracle.head_deadline(o),
-                    "voq head at out {o}, step {step}"
-                );
-            }
         }
     }
 
@@ -546,5 +712,262 @@ mod tests {
             drained += 1;
         }
         assert_eq!(popped + drained, 200, "conservation across growth and wrap");
+    }
+
+    /// The appendix suite (Theorems 1–3, Lemma 1; DESIGN §5) on the
+    /// structure the switches run, driven by the in-house RNG with fixed
+    /// seeds. Every test runs on the bare structure and inside a VOQ
+    /// bank.
+    mod appendix {
+        use super::*;
+
+        /// Where the suite's items go: one bare queue, or a VOQ bank with
+        /// each flow pinned to output `flow % n` (flows follow fixed
+        /// routes, so every sub-queue still sees the appendix's
+        /// hypotheses).
+        enum Bank<Q> {
+            Bare(Q),
+            Voq(Voq<Q>),
+        }
+
+        /// The two shapes every test runs on.
+        fn shapes<Q>(make: fn() -> Q) -> [Bank<Q>; 2] {
+            [Bank::Bare(make()), Bank::Voq(Voq::new(3, make))]
+        }
+
+        impl<Q: SchedQueue<Item>> Bank<Q> {
+            fn outputs(&self) -> usize {
+                match self {
+                    Bank::Bare(_) => 1,
+                    Bank::Voq(v) => v.n_outputs(),
+                }
+            }
+
+            fn queue(&self, out: usize) -> &Q {
+                match self {
+                    Bank::Bare(q) => q,
+                    Bank::Voq(v) => v.queue(out),
+                }
+            }
+
+            fn out_of(&self, item: &Item) -> usize {
+                item.flow as usize % self.outputs()
+            }
+
+            fn put(&mut self, item: Item) {
+                let out = self.out_of(&item);
+                match self {
+                    Bank::Bare(q) => q.enqueue(item),
+                    Bank::Voq(v) => v.enqueue(out, item),
+                }
+            }
+
+            /// Serve one item from the first non-empty output at or after
+            /// `turn` (round-robin), with the output it left from.
+            fn take(&mut self, turn: usize) -> Option<(usize, Item)> {
+                let n = self.outputs();
+                let out = (0..n).map(|k| (turn + k) % n).find(|&o| !self.queue(o).is_empty())?;
+                let item = match self {
+                    Bank::Bare(q) => q.dequeue(),
+                    Bank::Voq(v) => v.dequeue(out),
+                }?;
+                Some((out, item))
+            }
+        }
+
+        /// Theorems 1 and 2 and Lemma 1 on every queue of the bank.
+        fn check(bank: &Bank<FlatTwoQueue<Item>>) {
+            for o in 0..bank.outputs() {
+                bank.queue(o).check_invariants().unwrap();
+            }
+        }
+
+        fn random_arrivals(rng: &mut SimRng, n_flows: u32, len_max: usize) -> Vec<(u32, u64)> {
+            let n = 1 + rng.index(len_max);
+            (0..n)
+                .map(|_| (rng.range_u64(0, (n_flows - 1) as u64) as u32, rng.range_u64(0, 499)))
+                .collect()
+        }
+
+        /// Items satisfying the appendix hypotheses: within each flow,
+        /// arrival order is generation order and deadlines strictly
+        /// increase (each `(flow, gap)` adds at least 1 to its flow's
+        /// deadline).
+        fn stamp(arrivals: &[(u32, u64)], n_flows: u32) -> Vec<Item> {
+            let mut next_deadline = vec![0u64; n_flows as usize];
+            let mut next_seq = vec![0u32; n_flows as usize];
+            arrivals
+                .iter()
+                .map(|&(f, gap)| {
+                    let f = (f % n_flows) as usize;
+                    next_deadline[f] += gap.max(1);
+                    next_seq[f] += 1;
+                    Item::new(f as u32, next_seq[f] - 1, next_deadline[f])
+                })
+                .collect()
+        }
+
+        /// Drive an arrival/service interleaving through `bank`, checking
+        /// Theorems 1–2 and Lemma 1 after every step, and return the
+        /// departures. After arrival `i`, one item is served when
+        /// `service[i % service.len()]` says so; then the bank drains.
+        fn run_model(
+            mut bank: Bank<FlatTwoQueue<Item>>,
+            items: &[Item],
+            service: &[bool],
+        ) -> Vec<Item> {
+            let mut out = vec![];
+            for (i, &item) in items.iter().enumerate() {
+                bank.put(item);
+                check(&bank);
+                if service[i % service.len()] {
+                    out.extend(bank.take(i).map(|(_, it)| it));
+                    check(&bank);
+                }
+            }
+            while let Some((_, it)) = bank.take(out.len()) {
+                check(&bank);
+                out.push(it);
+            }
+            out
+        }
+
+        /// Theorem 3: every flow departs in sequence order, and every
+        /// item departs exactly once.
+        fn assert_in_order(out: &[Item], injected: usize) {
+            assert_eq!(out.len(), injected, "conservation");
+            let mut last_seq = HashMap::new();
+            for it in out {
+                if let Some(prev) = last_seq.insert(it.flow, it.seq) {
+                    assert!(
+                        it.seq > prev,
+                        "flow {} delivered seq {} after {}",
+                        it.flow,
+                        it.seq,
+                        prev
+                    );
+                }
+            }
+        }
+
+        /// Theorem 3: no out-of-order delivery within any flow, plus
+        /// Theorems 1 & 2 and Lemma 1 at every step (checked inside
+        /// `run_model`), over many random interleavings.
+        #[test]
+        fn theorem3_no_out_of_order_delivery() {
+            let mut rng = SimRng::new(0x7EA3);
+            for _ in 0..150 {
+                let n_flows = 1 + rng.range_u64(0, 6) as u32;
+                let items = stamp(&random_arrivals(&mut rng, n_flows, 300), n_flows);
+                let service: Vec<bool> = (0..1 + rng.index(15)).map(|_| rng.chance(0.5)).collect();
+                for bank in shapes(FlatTwoQueue::new) {
+                    assert_in_order(&run_model(bank, &items, &service), items.len());
+                }
+            }
+        }
+
+        /// Exhaustive small-case sweep of the same invariants: every
+        /// arrival pattern of 2 flows × 5 arrivals × 2 gap choices, with
+        /// every service period. Complements the randomized sweep with
+        /// certainty on the small state space.
+        #[test]
+        fn theorem3_exhaustive_small_cases() {
+            // Each arrival is (flow ∈ {0,1}, gap ∈ {1, 60}): 4 choices,
+            // 5 arrivals -> 1024 patterns × 3 service patterns.
+            for pattern in 0..4u32.pow(5) {
+                let arrivals: Vec<(u32, u64)> = (0..5)
+                    .map(|i| {
+                        let c = (pattern / 4u32.pow(i)) % 4;
+                        (c % 2, if c / 2 == 0 { 1 } else { 60 })
+                    })
+                    .collect();
+                let items = stamp(&arrivals, 2);
+                for service in [&[true][..], &[false, true][..], &[false][..]] {
+                    for bank in shapes(FlatTwoQueue::new) {
+                        assert_in_order(&run_model(bank, &items, service), 5);
+                    }
+                }
+            }
+        }
+
+        /// The dequeue candidate is never less urgent than a plain FIFO's
+        /// head under identical history, on every output.
+        #[test]
+        fn candidate_at_least_as_urgent_as_fifo() {
+            let mut rng = SimRng::new(0x51EF);
+            for _ in 0..150 {
+                let items = stamp(&random_arrivals(&mut rng, 4, 200), 4);
+                for (mut tq, mut fifo) in
+                    shapes(FlatTwoQueue::new).into_iter().zip(shapes(FlatFifo::new))
+                {
+                    for &item in &items {
+                        tq.put(item);
+                        fifo.put(item);
+                        for o in 0..tq.outputs() {
+                            assert!(tq.queue(o).head_deadline() <= fifo.queue(o).head_deadline());
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Serve one item and report whether it was an order error: an
+        /// item still queued for the same output had a smaller deadline.
+        fn serve<Q: SchedQueue<Item>>(
+            bank: &mut Bank<Q>,
+            pending: &mut Vec<(usize, u64)>,
+            turn: usize,
+        ) -> u64 {
+            let Some((out, it)) = bank.take(turn) else { return 0 };
+            let pos = pending.iter().position(|&p| p == (out, it.deadline)).unwrap();
+            pending.swap_remove(pos);
+            pending.iter().any(|&(o, d)| o == out && d < it.deadline) as u64
+        }
+
+        /// Count the §3.4 order errors, serving once every `period`
+        /// arrivals and then draining.
+        fn count_errors<Q: SchedQueue<Item>>(
+            mut bank: Bank<Q>,
+            items: &[Item],
+            period: usize,
+        ) -> u64 {
+            let mut errors = 0u64;
+            let mut pending: Vec<(usize, u64)> = vec![];
+            for (i, item) in items.iter().enumerate() {
+                bank.put(*item);
+                pending.push((bank.out_of(item), item.deadline));
+                if i % period == 0 {
+                    errors += serve(&mut bank, &mut pending, i);
+                }
+            }
+            let mut turn = items.len();
+            while !pending.is_empty() {
+                errors += serve(&mut bank, &mut pending, turn);
+                turn += 1;
+            }
+            errors
+        }
+
+        /// Order errors: two-queue <= plain FIFO under identical history.
+        #[test]
+        fn order_errors_not_worse_than_fifo() {
+            let mut rng = SimRng::new(0x0E44);
+            for _ in 0..150 {
+                let arrivals = random_arrivals(&mut rng, 4, 200);
+                if arrivals.len() < 2 {
+                    continue;
+                }
+                let period = 1 + rng.index(3);
+                let items = stamp(&arrivals, 4);
+                for (tq, fifo) in shapes(FlatTwoQueue::new).into_iter().zip(shapes(FlatFifo::new)) {
+                    let tq_err = count_errors(tq, &items, period);
+                    let fifo_err = count_errors(fifo, &items, period);
+                    assert!(
+                        tq_err <= fifo_err,
+                        "two-queue errors {tq_err} > fifo errors {fifo_err}"
+                    );
+                }
+            }
+        }
     }
 }

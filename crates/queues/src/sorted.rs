@@ -191,8 +191,8 @@ mod tests {
         assert_eq!(q.bytes(), 11);
     }
 
-    /// Dependency-free port of the property: pops come out key-sorted and
-    /// stable for any insertion order.
+    /// Randomized: pops come out key-sorted and stable for any insertion
+    /// order.
     #[test]
     fn randomized_sorted_and_stable() {
         use dqos_sim_core::SimRng;
@@ -212,33 +212,6 @@ mod tests {
                     }
                 }
                 last = Some((it.deadline, it.flow));
-            }
-        }
-    }
-
-    #[cfg(feature = "proptest")]
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Pops come out key-sorted and stable for any insertion order.
-            #[test]
-            fn prop_sorted_and_stable(keys in proptest::collection::vec(0u64..1000, 1..200)) {
-                let mut q = SortedQueue::new();
-                for (i, &k) in keys.iter().enumerate() {
-                    q.insert(SimTime::from_ns(k), Item::new(i as u32, 0, k));
-                }
-                let mut last: Option<(u64, u32)> = None;
-                while let Some(it) = q.pop() {
-                    if let Some((lk, lflow)) = last {
-                        prop_assert!(it.deadline >= lk);
-                        if it.deadline == lk {
-                            prop_assert!(it.flow > lflow, "stability violated");
-                        }
-                    }
-                    last = Some((it.deadline, it.flow));
-                }
             }
         }
     }

@@ -57,6 +57,6 @@ const _TSYNC_IS_STD: fn(&tsync::AtomicU64) -> &std::sync::atomic::AtomicU64 = |x
 pub use exec::{execute, ExecConfig, ExecError, ExecResult, Outbox, World};
 pub use pool::{default_workers, par_map};
 pub use queue::{BinaryHeapQueue, EventQueue, ScheduledEvent};
-pub use ring::{RingMsg, SpscRing};
+pub use ring::SpscRing;
 pub use rng::{SimRng, SplitMix64};
 pub use time::{Bandwidth, SimDuration, SimTime};

@@ -1,17 +1,15 @@
 //! Word-granular single-producer / single-consumer ring channel.
 //!
-//! This is the steady-state hand-off primitive of the free-running
-//! parallel executor ([`crate::exec`]): each ordered pair of
-//! neighbouring partitions owns one [`SpscRing`] carrying
-//! variable-length *records* — a length prefix followed by `len`
-//! payload words. The executor packs an event header (timestamp, merge
-//! key, destination node) plus an application-encoded message
-//! ([`RingMsg`]) into each record; `dqos-netsim` additionally runs
-//! whole packets through sibling "lane" rings.
+//! One [`SpscRing`] carries variable-length *records* — a length prefix
+//! followed by `len` payload words — from one producer thread to one
+//! consumer thread. No simulation uses it: the simulator runs one
+//! single-threaded calendar loop. Its only remaining users are
+//! perfbench's `ring.ns_per_record` per-layer row and the
+//! model-checking drivers in `tests/mcheck_rt.rs`, and it can go once
+//! the benchmark drops that row.
 //!
-//! Why words and not `T` slots: cross-partition messages are
-//! variable-sized (a bare credit is 4 words, an evicted packet ~20) and
-//! the workspace forbids `unsafe`, so the ring is a fixed `Box<[AtomicU64]>`
+//! Why words and not `T` slots: records are variable-sized and the
+//! workspace forbids `unsafe`, so the ring is a fixed `Box<[AtomicU64]>`
 //! and records serialise into it. There is exactly one producer and one
 //! consumer per ring, so the only synchronisation is a Release store /
 //! Acquire load pair on each cursor — no locks, no CAS loops, no
@@ -43,9 +41,8 @@ use dqos_mcheck_rt::tsync::{named_u64, AtomicU64, Ordering};
 /// words carrying length-prefixed records.
 ///
 /// `push` and `pop` never block and never allocate; a full ring makes
-/// `push` return `false` (the executor treats that as backpressure and
-/// publishes a floor bound instead of spinning). Capacity is rounded
-/// up to a power of two at construction.
+/// `push` return `false`, leaving the producer to decide whether to
+/// retry. Capacity is rounded up to a power of two at construction.
 pub struct SpscRing {
     slots: Box<[AtomicU64]>,
     mask: u64,
@@ -142,41 +139,9 @@ impl SpscRing {
         true
     }
 
-    /// True when no unread record exists. Safe from any thread; used
-    /// only on the cold termination-scan path.
+    /// True when no unread record exists. Safe from any thread.
     pub fn is_empty(&self) -> bool {
         self.head.load(Ordering::SeqCst) == self.tail.load(Ordering::SeqCst)
-    }
-}
-
-/// Word-codec for messages crossing partitions through an [`SpscRing`].
-///
-/// The executor appends `encode`d words after its own record header and
-/// hands `decode` the same slice on the consumer side. `MAX_WORDS`
-/// bounds a single message so ring capacities can be sized up front;
-/// `encode` must append at most that many words.
-pub trait RingMsg: Sized {
-    /// Upper bound on the words one `encode` call may append.
-    const MAX_WORDS: usize;
-    /// Append this message's words to `out`.
-    fn encode(self, out: &mut Vec<u64>);
-    /// Rebuild a message from the words `encode` appended.
-    fn decode(words: &[u64]) -> Self;
-}
-
-impl RingMsg for () {
-    const MAX_WORDS: usize = 0;
-    fn encode(self, _out: &mut Vec<u64>) {}
-    fn decode(_words: &[u64]) -> Self {}
-}
-
-impl RingMsg for u64 {
-    const MAX_WORDS: usize = 1;
-    fn encode(self, out: &mut Vec<u64>) {
-        out.push(self);
-    }
-    fn decode(words: &[u64]) -> Self {
-        words[0]
     }
 }
 
@@ -282,16 +247,5 @@ mod tests {
             }
         });
         assert!(r.is_empty());
-    }
-
-    #[test]
-    fn unit_and_u64_codecs_round_trip() {
-        let mut out = Vec::new();
-        ().encode(&mut out);
-        assert!(out.is_empty());
-        <()>::decode(&out);
-        77u64.encode(&mut out);
-        assert_eq!(out, vec![77]);
-        assert_eq!(u64::decode(&out), 77);
     }
 }

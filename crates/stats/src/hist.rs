@@ -387,76 +387,8 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "proptest")]
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Every value lands in a bucket whose representative is within
-            /// 1/32 relative error above it.
-            #[test]
-            fn prop_bucket_error_bounded(v in 0u64..u64::MAX / 2) {
-                let b = LogHistogram::bucket_of(v);
-                let rep = LogHistogram::bucket_value(b);
-                prop_assert!(rep >= v, "representative below value");
-                if v >= 32 {
-                    prop_assert!((rep - v) as f64 / v as f64 <= 1.0 / 32.0);
-                } else {
-                    prop_assert_eq!(rep, v);
-                }
-            }
-
-            /// Bucket index is monotone in the value.
-            #[test]
-            fn prop_bucket_monotone(a in 0u64..1 << 50, b in 0u64..1 << 50) {
-                let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-                prop_assert!(LogHistogram::bucket_of(lo) <= LogHistogram::bucket_of(hi));
-            }
-
-            /// Merged-histogram quantiles are bounded by the per-shard
-            /// quantiles (up to one bucket of quantisation slack).
-            #[test]
-            fn prop_merged_quantiles_bound_shards(
-                shards in proptest::collection::vec(
-                    proptest::collection::vec(0u64..100_000_000, 0..120),
-                    1..6,
-                )
-            ) {
-                let hists: Vec<LogHistogram> = shards
-                    .iter()
-                    .map(|vs| {
-                        let mut h = LogHistogram::new();
-                        for &v in vs {
-                            h.record(v);
-                        }
-                        h
-                    })
-                    .collect();
-                assert_merged_quantiles_bounded(&hists);
-            }
-
-            /// Quantiles are monotone in q and bracketed by min/max.
-            #[test]
-            fn prop_quantiles_monotone(values in proptest::collection::vec(0u64..10_000_000, 1..200)) {
-                let mut h = LogHistogram::new();
-                for &v in &values {
-                    h.record(v);
-                }
-                let qs = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0];
-                let mut last = 0;
-                for &q in &qs {
-                    let v = h.quantile(q);
-                    prop_assert!(v >= last);
-                    prop_assert!(v >= h.min() && v <= h.max());
-                    last = v;
-                }
-            }
-        }
-    }
-
-    /// Dependency-free ports of the property suite above, driven by the
-    /// in-house RNG so they run in the offline tier-1 build.
+    /// Randomized property tests, driven by the in-house RNG with fixed
+    /// seeds.
     mod randomized {
         use super::*;
         use dqos_sim_core::SimRng;

@@ -50,7 +50,7 @@
 
 use crate::arbiter::{pick_edf, pick_round_robin, Candidate};
 use crate::config::SwitchConfig;
-use dqos_core::{NodeAction, NodeModel, PktTok, SwitchEvent, Vc, NUM_VCS};
+use dqos_core::{NodeAction, PktTok, Vc, NUM_VCS};
 use dqos_queues::{AnyQueue, SchedQueue, Voq};
 use dqos_sim_core::SimTime;
 use dqos_topology::Port;
@@ -694,26 +694,6 @@ impl Switch {
             self.try_xbar(o, now, actions);
             return;
         }
-    }
-}
-
-impl NodeModel for Switch {
-    type Event = SwitchEvent;
-    type Effect = Vec<NodeAction>;
-
-    fn on_event(&mut self, local: SimTime, ev: SwitchEvent) -> Vec<NodeAction> {
-        let mut actions = Vec::new();
-        match ev {
-            SwitchEvent::Arrive { in_port, tok } => {
-                self.on_packet_arrival(in_port, tok, local, &mut actions)
-            }
-            SwitchEvent::XbarDone { out_port } => self.on_xbar_done(out_port, local, &mut actions),
-            SwitchEvent::TxDone { out_port } => self.on_tx_done(out_port, local, &mut actions),
-            SwitchEvent::Credit { out_port, vc, bytes } => {
-                self.on_credit(out_port, vc, bytes, local, &mut actions)
-            }
-        }
-        actions
     }
 }
 

@@ -4,7 +4,7 @@ use crate::control::ControlSource;
 use crate::selfsimilar::SelfSimilarSource;
 use crate::source::{random_dst, AppMessage, SourceNode, TrafficSource};
 use crate::video::{VideoParams, VideoSource, VideoTable};
-use dqos_core::{NodeModel, TrafficClass};
+use dqos_core::TrafficClass;
 use dqos_sim_core::{Bandwidth, SimDuration, SimRng, SimTime};
 use dqos_topology::HostId;
 use std::sync::Arc;
@@ -280,7 +280,7 @@ impl HostSources {
     pub fn fire(&mut self, label: u32, now: SimTime) -> (AppMessage, SimTime) {
         match self.stream(label) {
             Some((table, s)) => table.emit(s, now),
-            None => self.node(label).on_event(now, ()),
+            None => self.node(label).fire(now),
         }
     }
 }
@@ -385,7 +385,7 @@ mod tests {
                 let mut t = node.first_arrival();
                 assert_eq!(host.first_arrival(label), t, "label {label}");
                 for _ in 0..4 {
-                    let (msg, next) = node.on_event(t, ());
+                    let (msg, next) = node.fire(t);
                     assert_eq!(host.fire(label, t), (msg, next), "label {label} at {t:?}");
                     t = next;
                 }

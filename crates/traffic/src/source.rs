@@ -43,14 +43,12 @@ pub trait TrafficSource {
     }
 }
 
-/// A traffic source bound to its own private RNG stream: the node-model
-/// form of a generator.
+/// A traffic source bound to its own private RNG stream.
 ///
-/// The monolithic loop drew all of a host's sources from one host RNG in
-/// whatever order their events happened to pop; giving each source its
-/// own forked stream makes a firing's randomness a pure function of
-/// *which* source fired, independent of global event interleaving — the
-/// property the conservative-parallel executor needs.
+/// Each source draws from its own forked stream rather than from one
+/// shared host RNG, so a firing's randomness is a pure function of
+/// *which* source fired and how often it has fired, independent of how
+/// its events interleave with every other event in the run.
 pub struct SourceNode {
     /// The generator.
     pub source: Box<dyn TrafficSource>,
@@ -68,16 +66,11 @@ impl SourceNode {
     pub fn first_arrival(&mut self) -> SimTime {
         self.source.first_arrival(&mut self.rng)
     }
-}
 
-impl dqos_core::NodeModel for SourceNode {
-    type Event = ();
-    type Effect = (AppMessage, SimTime);
-
-    /// A firing: produce the message due at local time `local` and the
-    /// absolute time of the next firing.
-    fn on_event(&mut self, local: SimTime, _ev: ()) -> (AppMessage, SimTime) {
-        self.source.emit(local, &mut self.rng)
+    /// A firing: produce the message due at `now` and the absolute time
+    /// of the next firing.
+    pub fn fire(&mut self, now: SimTime) -> (AppMessage, SimTime) {
+        self.source.emit(now, &mut self.rng)
     }
 }
 

@@ -30,7 +30,7 @@
 //! # paper fabric:      cargo run --release --example hotpath_profile 128 1.0 advanced
 //! ```
 //!
-//! `scripts/check.sh` runs the default as a non-gating smoke (step 7):
+//! `scripts/check.sh` runs the default as a non-gating smoke (step 6):
 //! the tables are diagnostic output, not a pass/fail criterion, but a
 //! footprint regression shows in every gate run.
 

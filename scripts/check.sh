@@ -9,7 +9,10 @@
 #      determinism, concurrency-hygiene and robustness rules; the
 #      workspace must report zero findings.
 #   1. Release build, then a whole-workspace warning-free build
-#      (RUSTFLAGS="-D warnings").
+#      (RUSTFLAGS="-D warnings"). Before the tests, a check of every
+#      target with every declared feature on (`--all-features`): a
+#      feature whose gated code cannot build fails the gate instead of
+#      rotting unseen.
 #   2. Full test suite — includes tests/determinism.rs, the golden-
 #      digest matrix (4 architectures x 3 seeds x 3 fault scenarios,
 #      report JSON and traces pinned byte for byte).
@@ -65,6 +68,7 @@ fullsim_rate() {
 
 cargo run --release --offline -p dqos-tidy
 cargo build --release --offline
+cargo check --offline --workspace --all-targets --all-features
 cargo test -q --offline --workspace
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 

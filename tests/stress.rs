@@ -97,8 +97,8 @@ fn no_eligible_time_under_overload() {
 
 #[test]
 fn many_seeds_conserve() {
-    // A cheap randomised sweep standing in for a netsim-level proptest
-    // (full shrinking would be too slow in debug builds).
+    // A cheap randomised sweep over seeds: every run must conserve
+    // packets.
     for seed in [1u64, 7, 42, 1337, 0xDEAD] {
         let mut cfg = base(Architecture::Advanced2Vc, 0.7);
         cfg.seed = seed;
