@@ -11,22 +11,30 @@
 //!
 //! Run: `cargo bench -p dqos-bench --bench ablation_eligible`
 
-use dqos_bench::{run_cached, BenchEnv};
+use dqos_bench::{run_configs, BenchEnv};
 use dqos_core::Architecture;
 
 fn main() {
     let env = BenchEnv::from_env();
     let load = env.max_load();
+    let cases = [("eligible 20 us (paper)", Some(20_000u64)), ("no eligible time", None)];
+    let runs = run_configs(
+        cases
+            .iter()
+            .map(|&(_, lead)| {
+                let mut cfg = env.config(Architecture::Advanced2Vc, load);
+                cfg.eligible_lead_ns = lead;
+                cfg
+            })
+            .collect(),
+    );
     println!(
         "=== Ablation: eligible-time smoothing (Advanced 2 VCs @ {:.0}% load, {} hosts) ===",
         load * 100.0,
         env.hosts
     );
 
-    for (label, lead) in [("eligible 20 us (paper)", Some(20_000u64)), ("no eligible time", None)] {
-        let mut cfg = env.config(Architecture::Advanced2Vc, load);
-        cfg.eligible_lead_ns = lead;
-        let (report, summary) = run_cached(&env, cfg);
+    for ((label, _), (report, summary)) in cases.into_iter().zip(runs) {
         let control = report.class("Control").unwrap();
         let video = report.class("Multimedia").unwrap();
         println!("\n--- {label} ---");

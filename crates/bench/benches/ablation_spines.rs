@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo bench -p dqos-bench --bench ablation_spines`
 
-use dqos_bench::{run_cached, BenchEnv};
+use dqos_bench::{run_configs, throughput_gbps, BenchEnv};
 use dqos_core::Architecture;
 use dqos_topology::ClosParams;
 
@@ -17,6 +17,17 @@ fn main() {
     let env = BenchEnv::from_env();
     let load = env.max_load();
     let leaves = env.hosts / 8;
+    let spine_counts = [8u16, 4, 2, 1];
+    let runs = run_configs(
+        spine_counts
+            .iter()
+            .map(|&spines| {
+                let mut cfg = env.config(Architecture::Advanced2Vc, load);
+                cfg.topology = ClosParams { hosts_per_leaf: 8, leaves, spines };
+                cfg
+            })
+            .collect(),
+    );
     println!(
         "=== Ablation: spine count ({} hosts, {} leaves, load {:.0}%, Advanced 2 VCs) ===\n",
         env.hosts,
@@ -27,13 +38,9 @@ fn main() {
         "{:>7} {:>8} {:>13} {:>13} {:>13} {:>13} {:>12}",
         "spines", "bisect", "ctrl avg us", "ctrl p99 us", "video avg ms", "BE Gb/s", "fallbacks"
     );
-    for spines in [8u16, 4, 2, 1] {
-        let mut cfg = env.config(Architecture::Advanced2Vc, load);
-        cfg.topology = ClosParams { hosts_per_leaf: 8, leaves, spines };
-        let (report, summary) = run_cached(&env, cfg);
+    for (spines, (report, summary)) in spine_counts.into_iter().zip(runs) {
         let c = report.class("Control").unwrap();
         let v = report.class("Multimedia").unwrap();
-        let be = report.class("Best-effort").unwrap();
         println!(
             "{:>7} {:>7.0}% {:>13.2} {:>13.2} {:>13.3} {:>13.3} {:>12}",
             spines,
@@ -41,7 +48,7 @@ fn main() {
             c.packet_latency.mean() / 1e3,
             c.packet_latency.quantile(0.99) as f64 / 1e3,
             v.message_latency.mean() / 1e6,
-            be.delivered.throughput(report.window_start, report.window_end).as_gbps_f64(),
+            throughput_gbps(&report, "Best-effort"),
             summary.admission_fallbacks,
         );
     }

@@ -8,12 +8,26 @@
 //!
 //! Run: `cargo bench -p dqos-bench --bench ablation_voq`
 
-use dqos_bench::{run_cached, BenchEnv};
+use dqos_bench::{run_configs, throughput_gbps, BenchEnv};
 use dqos_core::Architecture;
 
 fn main() {
     let env = BenchEnv::from_env();
     let load = env.max_load();
+    let grid: Vec<(Architecture, bool)> =
+        [Architecture::Simple2Vc, Architecture::Advanced2Vc, Architecture::Ideal]
+            .into_iter()
+            .flat_map(|arch| [false, true].map(|voq| (arch, voq)))
+            .collect();
+    let runs = run_configs(
+        grid.iter()
+            .map(|&(arch, voq)| {
+                let mut cfg = env.config(arch, load);
+                cfg.input_voq = voq;
+                cfg
+            })
+            .collect(),
+    );
     println!(
         "=== Ablation: single input queue (paper) vs per-output VOQ inputs ({} hosts @ {:.0}% load) ===",
         env.hosts,
@@ -23,22 +37,16 @@ fn main() {
         "{:<18} {:>12} {:>14} {:>14} {:>14}",
         "architecture", "input org", "ctrl avg us", "ctrl p99 us", "BE thru Gb/s"
     );
-    for arch in [Architecture::Simple2Vc, Architecture::Advanced2Vc, Architecture::Ideal] {
-        for voq in [false, true] {
-            let mut cfg = env.config(arch, load);
-            cfg.input_voq = voq;
-            let (report, _) = run_cached(&env, cfg);
-            let control = report.class("Control").unwrap();
-            let be = report.class("Best-effort").unwrap();
-            println!(
-                "{:<18} {:>12} {:>14.2} {:>14.2} {:>14.3}",
-                arch.label(),
-                if voq { "VOQ (16x $)" } else { "single" },
-                control.packet_latency.mean() / 1e3,
-                control.packet_latency.quantile(0.99) as f64 / 1e3,
-                be.delivered.throughput(report.window_start, report.window_end).as_gbps_f64()
-            );
-        }
+    for ((arch, voq), (report, _)) in grid.into_iter().zip(runs) {
+        let control = report.class("Control").unwrap();
+        println!(
+            "{:<18} {:>12} {:>14.2} {:>14.2} {:>14.3}",
+            arch.label(),
+            if voq { "VOQ (16x $)" } else { "single" },
+            control.packet_latency.mean() / 1e3,
+            control.packet_latency.quantile(0.99) as f64 / 1e3,
+            throughput_gbps(&report, "Best-effort")
+        );
     }
     println!("\n(the take-over queue recovers most of VOQ's benefit at a fraction of the cost — the paper's point)");
 }

@@ -14,22 +14,18 @@
 //! | `DQOS_WARMUP_MS`  | 12             | warm-up (must exceed the 10 ms frame pipeline) |
 //! | `DQOS_LOADS`      | .2,.4,.6,.8,1  | sweep points |
 //! | `DQOS_SEED`       | 0xD05E         | master seed |
-//! | `DQOS_NO_CACHE=1` | off            | disable the sweep-result cache |
 //!
 //! Figures 2, 3 and 4 all read the *same* simulations (the paper runs one
-//! workload and reports three views of it), so sweep results are cached
-//! under `target/dqos-cache/` keyed by a hash of the full config — the
-//! second and third figure benches reuse the first one's runs.
+//! workload and reports three views of it), so one bench, `figures`,
+//! runs the sweep once and prints all three.
 
 #![forbid(unsafe_code)]
 
 use dqos_core::Architecture;
 use dqos_netsim::{run_one, RunSummary, SimConfig};
 use dqos_sim_core::{default_workers, par_map};
-use dqos_stats::{Json, Report};
+use dqos_stats::Report;
 use dqos_topology::ClosParams;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 
 /// Sweep parameters read from the environment.
@@ -45,8 +41,6 @@ pub struct BenchEnv {
     pub loads: Vec<f64>,
     /// Master seed.
     pub seed: u64,
-    /// Cache sweep results on disk.
-    pub cache: bool,
 }
 
 impl BenchEnv {
@@ -77,7 +71,6 @@ impl BenchEnv {
             warmup_ms: get("DQOS_WARMUP_MS", if paper { 15 } else { 12 }),
             loads,
             seed: get("DQOS_SEED", 0xD0_5E),
-            cache: std::env::var("DQOS_NO_CACHE").map(|v| v != "1").unwrap_or(true),
         }
     }
 
@@ -107,64 +100,22 @@ fn target_dir() -> PathBuf {
     }
 }
 
-fn cache_dir() -> PathBuf {
-    target_dir().join("dqos-cache")
+/// Run independent configs spread over the host's cores ([`par_map`]),
+/// results in input order.
+pub fn run_configs(cfgs: Vec<SimConfig>) -> Vec<(Report, RunSummary)> {
+    let workers = default_workers(cfgs.len());
+    par_map(cfgs, workers, run_one)
 }
 
-fn cache_key(cfg: &SimConfig) -> String {
-    // `SimConfig` is plain data with a total `Debug` rendering, so the
-    // debug string is a faithful serialisation for keying purposes.
-    let text = format!("{cfg:?}");
-    let mut h = DefaultHasher::new();
-    text.hash(&mut h);
-    // Include a schema version so stale caches die on model changes.
-    3u32.hash(&mut h);
-    format!("{:016x}", h.finish())
-}
-
-fn decode_pair(data: &str) -> Result<(Report, RunSummary), String> {
-    let j = Json::parse(data)?;
-    let report = j
-        .get("report")
-        .and_then(Report::from_json_value)
-        .ok_or_else(|| "bad report".to_string())?;
-    let summary =
-        RunSummary::from_json_value(j.get("summary").ok_or_else(|| "missing summary".to_string())?)?;
-    Ok((report, summary))
-}
-
-fn encode_pair(report: &Report, summary: &RunSummary) -> String {
-    Json::obj(vec![
-        ("report", report.to_json_value()),
-        ("summary", summary.to_json_value()),
-    ])
-    .to_string_pretty()
-}
-
-/// Run one point, reading/writing the on-disk cache.
-pub fn run_cached(env: &BenchEnv, cfg: SimConfig) -> (Report, RunSummary) {
-    if !env.cache {
-        return run_one(cfg);
-    }
-    let dir = cache_dir();
-    let path = dir.join(format!("{}.json", cache_key(&cfg)));
-    if let Ok(data) = std::fs::read_to_string(&path) {
-        if let Ok(pair) = decode_pair(&data) {
-            return pair;
-        }
-    }
-    let pair = run_one(cfg);
-    let _ = std::fs::create_dir_all(&dir);
-    let _ = std::fs::write(&path, encode_pair(&pair.0, &pair.1));
-    pair
-}
+/// One simulated sweep point: architecture, load, report, summary.
+pub type SweepPoint = (Architecture, f64, Report, RunSummary);
 
 /// Run the full figure sweep: every architecture at every load, the
 /// points spread over the host's cores ([`par_map`]; each point is one
-/// independent, deterministic run, read from or written to the cache).
+/// independent, deterministic run).
 /// Returns `(arch, load, report, summary)` tuples in deterministic
 /// order: architecture-major, loads as given.
-pub fn run_sweep(env: &BenchEnv) -> Vec<(Architecture, f64, Report, RunSummary)> {
+pub fn run_sweep(env: &BenchEnv) -> Vec<SweepPoint> {
     let points: Vec<(Architecture, f64)> = Architecture::ALL
         .iter()
         .flat_map(|&arch| env.loads.iter().map(move |&load| (arch, load)))
@@ -172,10 +123,40 @@ pub fn run_sweep(env: &BenchEnv) -> Vec<(Architecture, f64, Report, RunSummary)>
     let workers = default_workers(points.len());
     par_map(points, workers, |(arch, load)| {
         eprintln!("  running {} @ {:.0}% ...", arch.label(), load * 100.0);
-        let (report, summary) = run_cached(env, env.config(arch, load));
+        let (report, summary) = run_one(env.config(arch, load));
         assert_eq!(summary.out_of_order, 0, "in-order guarantee violated");
         (arch, load, report, summary)
     })
+}
+
+/// The `(arch, load)` cell of a sweep.
+///
+/// # Panics
+/// If the sweep has no such cell. Callers take `arch` from
+/// [`Architecture::ALL`] and `load` from the [`BenchEnv`] the sweep was
+/// run from, so a miss is a bug in the bench.
+pub fn point(sweep: &[SweepPoint], arch: Architecture, load: f64) -> &SweepPoint {
+    sweep
+        .iter()
+        .find(|(a, l, _, _)| *a == arch && *l == load)
+        // tidy: allow(no-unwrap) -- documented panic: the sweep was built
+        // from this exact (arch, load) grid, so every cell is present.
+        .expect("sweep covers the grid")
+}
+
+/// The delivered throughput of one class over the report's window, Gb/s.
+///
+/// # Panics
+/// If the report has no class of that name (a Table-1 class label is
+/// expected).
+pub fn throughput_gbps(r: &Report, class: &str) -> f64 {
+    r.class(class)
+        // tidy: allow(no-unwrap) -- documented panic: every report carries
+        // the four Table-1 classes.
+        .expect("report carries every Table-1 class")
+        .delivered
+        .throughput(r.window_start, r.window_end)
+        .as_gbps_f64()
 }
 
 /// Print a `load × architecture` series table, and mirror it as a
@@ -186,7 +167,7 @@ pub fn run_sweep(env: &BenchEnv) -> Vec<(Architecture, f64, Report, RunSummary)>
 pub fn print_series(
     title: &str,
     unit: &str,
-    sweep: &[(Architecture, f64, Report, RunSummary)],
+    sweep: &[SweepPoint],
     loads: &[f64],
     mut value: impl FnMut(&Report) -> f64,
 ) {
@@ -205,14 +186,7 @@ pub fn print_series(
         print!("{:>8.0}", load * 100.0);
         dat.push_str(&format!("{:.0}", load * 100.0));
         for arch in Architecture::ALL {
-            let r = sweep
-                .iter()
-                .find(|(a, l, _, _)| *a == arch && *l == load)
-                .map(|(_, _, r, _)| r)
-                // tidy: allow(no-unwrap) -- the sweep was built from this
-                // exact (arch, load) grid, so every cell is present.
-                .expect("sweep covers the grid");
-            let v = value(r);
+            let v = value(&point(sweep, arch, load).2);
             print!(" {:>18.2}", v);
             dat.push_str(&format!(" {v:.4}"));
         }
@@ -244,7 +218,7 @@ fn write_figure_file(title: &str, contents: &str) {
 /// one per architecture).
 pub fn print_cdf(
     title: &str,
-    sweep: &[(Architecture, f64, Report, RunSummary)],
+    sweep: &[SweepPoint],
     load: f64,
     unit_div: f64,
     unit: &str,
@@ -254,14 +228,7 @@ pub fn print_cdf(
     println!("\n## {title} (CDF @ {:.0}% load, {unit})", load * 100.0);
     let mut dat = format!("# {title} (CDF @ {:.0}% load, {unit})\n", load * 100.0);
     for arch in Architecture::ALL {
-        let r = sweep
-            .iter()
-            .find(|(a, l, _, _)| *a == arch && *l == load)
-            .map(|(_, _, r, _)| r)
-            // tidy: allow(no-unwrap) -- max load is taken from the same
-            // list the sweep was built from, so the point exists.
-            .expect("sweep covers the max-load point");
-        let hist = hist_of(r);
+        let hist = hist_of(&point(sweep, arch, load).2);
         let cdf = hist.cdf();
         println!("# {}", arch.label());
         dat.push_str(&format!("# {}\n", arch.label()));
@@ -282,7 +249,8 @@ pub fn print_cdf(
 ///
 /// Each measurement runs the workload once to warm caches, then `runs`
 /// timed repetitions; the *median* per-element time is reported (robust
-/// to scheduler noise without criterion's machinery).
+/// to scheduler noise without criterion's machinery), with the fastest
+/// and slowest repetition beside it as the spread.
 pub mod harness {
     use std::hint::black_box;
     use std::time::Instant;
@@ -296,6 +264,10 @@ pub mod harness {
         pub elements: u64,
         /// Median nanoseconds per element.
         pub ns_per_elem: f64,
+        /// Fastest repetition's nanoseconds per element.
+        pub ns_per_elem_min: f64,
+        /// Slowest repetition's nanoseconds per element.
+        pub ns_per_elem_max: f64,
         /// Median element rate per second.
         pub rate_per_sec: f64,
     }
@@ -321,18 +293,20 @@ pub mod harness {
             name: name.to_string(),
             elements,
             ns_per_elem,
+            ns_per_elem_min: samples[0],
+            ns_per_elem_max: samples[samples.len() - 1],
             rate_per_sec: 1e9 / ns_per_elem,
         };
         println!(
-            "{:<40} {:>10.1} ns/elem {:>14.0} elem/s",
-            m.name, m.ns_per_elem, m.rate_per_sec
+            "{:<40} {:>10.1} ns/elem [{:.1}..{:.1}] {:>14.0} elem/s",
+            m.name, m.ns_per_elem, m.ns_per_elem_min, m.ns_per_elem_max, m.rate_per_sec
         );
         m
     }
 
     /// Write measurements (plus extra scalar entries) as a JSON object to
-    /// `path`, one `name -> {ns_per_elem, rate_per_sec, elements}` entry
-    /// per measurement. The file is rewritten whole: git holds its
+    /// `path`, one `name -> {ns_per_elem, ns_per_elem_min,
+    /// ns_per_elem_max, rate_per_sec, elements}` entry per measurement. The file is rewritten whole: git holds its
     /// history.
     pub fn write_json(path: &std::path::Path, ms: &[Measurement], extra: &[(&str, f64)]) {
         use dqos_stats::Json;
@@ -343,6 +317,8 @@ pub mod harness {
                     m.name.as_str(),
                     Json::obj(vec![
                         ("ns_per_elem", Json::Float(m.ns_per_elem)),
+                        ("ns_per_elem_min", Json::Float(m.ns_per_elem_min)),
+                        ("ns_per_elem_max", Json::Float(m.ns_per_elem_max)),
                         ("rate_per_sec", Json::Float(m.rate_per_sec)),
                         ("elements", Json::Int(m.elements as i128)),
                     ]),
@@ -380,14 +356,7 @@ mod tests {
 
     #[test]
     fn config_reflects_env() {
-        let env = BenchEnv {
-            hosts: 24,
-            measure_ms: 7,
-            warmup_ms: 13,
-            loads: vec![0.5],
-            seed: 9,
-            cache: false,
-        };
+        let env = BenchEnv { hosts: 24, measure_ms: 7, warmup_ms: 13, loads: vec![0.5], seed: 9 };
         let cfg = env.config(Architecture::Ideal, 0.5);
         assert_eq!(cfg.topology.n_hosts(), 24);
         assert_eq!(cfg.measure, dqos_sim_core::SimDuration::from_ms(7));
@@ -395,21 +364,19 @@ mod tests {
     }
 
     #[test]
-    fn cache_key_distinguishes_configs() {
-        let env = BenchEnv {
-            hosts: 16,
-            measure_ms: 5,
-            warmup_ms: 5,
-            loads: vec![0.5],
-            seed: 1,
-            cache: false,
-        };
-        let a = cache_key(&env.config(Architecture::Ideal, 0.5));
-        let b = cache_key(&env.config(Architecture::Simple2Vc, 0.5));
-        let c = cache_key(&env.config(Architecture::Ideal, 0.6));
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        // Stable for identical configs.
-        assert_eq!(a, cache_key(&env.config(Architecture::Ideal, 0.5)));
+    fn parallel_sweep_matches_per_point_runs() {
+        let env =
+            BenchEnv { hosts: 16, measure_ms: 1, warmup_ms: 1, loads: vec![0.2, 0.6], seed: 3 };
+        let sweep = run_sweep(&env);
+        let order: Vec<_> = sweep.iter().map(|(a, l, _, _)| (*a, *l)).collect();
+        let expected: Vec<_> = Architecture::ALL
+            .iter()
+            .flat_map(|&a| env.loads.iter().map(move |&l| (a, l)))
+            .collect();
+        assert_eq!(order, expected, "architecture-major, loads as given");
+        for (arch, load, report, _) in &sweep {
+            let (serial, _) = run_one(env.config(*arch, *load));
+            assert_eq!(report.to_json(), serial.to_json(), "{} @ {load}", arch.label());
+        }
     }
 }

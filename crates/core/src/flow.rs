@@ -1,4 +1,4 @@
-//! Flow specifications and the per-host stamping records.
+//! Flow identifiers.
 //!
 //! A *flow* in the paper is a single connection or application stream:
 //! source, destination, a **fixed route**, and whatever is needed to
@@ -7,12 +7,10 @@
 //! uses **aggregated** flow records — one generic record per class at
 //! each host, with a weighting bandwidth — which is how the EDF
 //! architectures differentiate multiple best-effort classes inside one
-//! VC (Figure 4).
+//! VC (Figure 4). Those stamping records live at the end hosts: the
+//! simulator's in `dqos-netsim::flows`, the daemon's in dqos-d's flow
+//! table; a packet carries only its [`FlowId`].
 
-use crate::class::TrafficClass;
-use crate::deadline::{DeadlineMode, Stamper, StampedTimes};
-use dqos_sim_core::{SimDuration, SimTime};
-use dqos_topology::{HostId, Route};
 use std::fmt;
 
 /// Dense flow identifier, unique across the simulation.
@@ -30,139 +28,5 @@ impl FlowId {
 impl fmt::Display for FlowId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "F{}", self.0)
-    }
-}
-
-/// Static description of a flow, fixed at setup time.
-#[derive(Debug, Clone)]
-pub struct FlowSpec {
-    /// Unique id.
-    pub id: FlowId,
-    /// Source host (where the stamping record lives).
-    pub src: HostId,
-    /// Destination host.
-    pub dst: HostId,
-    /// Traffic class.
-    pub class: TrafficClass,
-    /// How deadlines advance for this flow.
-    pub mode: DeadlineMode,
-    /// The fixed route assigned by the admission controller / path
-    /// balancer.
-    pub route: Route,
-}
-
-/// The times stamped onto one packet-sized part of a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartStamp {
-    /// Part length in bytes.
-    pub len: u32,
-    /// Assigned deadline.
-    pub deadline: SimTime,
-    /// Assigned eligible time (if the flow smooths injection).
-    pub eligible: Option<SimTime>,
-}
-
-/// A live flow: its spec plus the mutable stamping state.
-#[derive(Debug, Clone)]
-pub struct Flow {
-    /// Static description.
-    pub spec: FlowSpec,
-    stamper: Stamper,
-}
-
-impl Flow {
-    /// Create a flow without eligible-time smoothing.
-    pub fn new(spec: FlowSpec) -> Self {
-        let stamper = Stamper::new(spec.mode);
-        Flow { spec, stamper }
-    }
-
-    /// Create a flow whose packets become eligible `lead` before their
-    /// deadlines (multimedia smoothing; the paper uses 20 µs).
-    pub fn with_eligible(spec: FlowSpec, lead: SimDuration) -> Self {
-        let stamper = Stamper::with_eligible(spec.mode, lead);
-        Flow { spec, stamper }
-    }
-
-    /// Stamp all parts of one application message handed over at local
-    /// time `now`.
-    pub fn stamp_message(&mut self, now: SimTime, part_sizes: &[u32]) -> Vec<PartStamp> {
-        let stamps: Vec<StampedTimes> = self.stamper.stamp_message(now, part_sizes);
-        part_sizes
-            .iter()
-            .zip(stamps)
-            .map(|(&len, s)| PartStamp { len, deadline: s.deadline, eligible: s.eligible })
-            .collect()
-    }
-
-    /// The deadline assigned to the most recently stamped packet.
-    pub fn last_deadline(&self) -> SimTime {
-        self.stamper.last_deadline()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dqos_sim_core::Bandwidth;
-    use dqos_topology::{Port, RouteHop, SwitchId};
-
-    fn spec(mode: DeadlineMode) -> FlowSpec {
-        FlowSpec {
-            id: FlowId(0),
-            src: HostId(0),
-            dst: HostId(1),
-            class: TrafficClass::Multimedia,
-            mode,
-            route: Route::new(
-                HostId(0),
-                HostId(1),
-                vec![RouteHop { switch: SwitchId(0), out_port: Port(1) }],
-            ),
-        }
-    }
-
-    #[test]
-    fn stamps_carry_lengths() {
-        let mut f = Flow::new(spec(DeadlineMode::AvgBandwidth(Bandwidth::gbps(1))));
-        let stamps = f.stamp_message(SimTime::ZERO, &[2048, 2048, 100]);
-        assert_eq!(stamps.len(), 3);
-        assert_eq!(stamps[0].len, 2048);
-        assert_eq!(stamps[2].len, 100);
-        assert!(stamps[0].deadline < stamps[1].deadline);
-        assert!(stamps[1].deadline < stamps[2].deadline);
-        assert_eq!(f.last_deadline(), stamps[2].deadline);
-        assert!(stamps.iter().all(|s| s.eligible.is_none()));
-    }
-
-    #[test]
-    fn eligible_flows_smooth() {
-        let mut f = Flow::with_eligible(
-            spec(DeadlineMode::FrameSpread { target: SimDuration::from_ms(10) }),
-            SimDuration::from_us(20),
-        );
-        let stamps = f.stamp_message(SimTime::ZERO, &[2048; 10]);
-        for s in &stamps {
-            let e = s.eligible.expect("eligible set");
-            assert!(e <= s.deadline);
-            assert_eq!(
-                s.deadline.as_ns() - e.as_ns(),
-                20_000,
-                "eligible trails deadline by the configured lead"
-            );
-        }
-        // Eligible times are spread out (one per 1 ms), not bunched at 0.
-        assert!(stamps[9].eligible.unwrap() > stamps[0].eligible.unwrap());
-    }
-
-    #[test]
-    fn consecutive_messages_share_virtual_clock() {
-        // An aggregated best-effort record stamps many messages; its
-        // virtual clock must carry over between messages.
-        let mut f = Flow::new(spec(DeadlineMode::AvgBandwidth(Bandwidth::mbytes_per_sec(100))));
-        let a = f.stamp_message(SimTime::ZERO, &[1000]);
-        let b = f.stamp_message(SimTime::ZERO, &[1000]);
-        assert!(b[0].deadline > a[0].deadline);
-        assert_eq!(b[0].deadline.as_ns(), 2 * a[0].deadline.as_ns());
     }
 }

@@ -13,9 +13,9 @@
 //!   average-bandwidth stamping, the frame-spread method for multimedia,
 //!   full-link-bandwidth stamping for control traffic, and eligible-time
 //!   smoothing.
-//! * [`flow`] — per-flow stamping state kept at the **end hosts** (the
-//!   switches keep none), including the aggregated flow records used for
-//!   weighted best-effort classes.
+//! * [`flow`] — flow identifiers. Per-flow stamping state, including the
+//!   aggregated records of the weighted best-effort classes, is kept at
+//!   the **end hosts** (the switches keep none).
 //! * [`clock`] — the time-to-destination (TTD) transport of §3.3 that
 //!   removes the need for global clock synchronisation.
 //! * [`admission`] — the centralised admission control with a per-link
@@ -45,5 +45,5 @@ pub use class::{TrafficClass, Vc, NUM_CLASSES, NUM_VCS};
 pub use clock::{ClockDomain, Ttd};
 pub use deadline::{segment_message, segment_message_into, DeadlineMode, Stamper};
 pub use deadline::StampedTimes;
-pub use flow::{Flow, FlowId, FlowSpec, PartStamp};
+pub use flow::FlowId;
 pub use packet::{MsgTag, Packet, PacketId, PktTok};

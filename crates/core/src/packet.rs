@@ -118,8 +118,8 @@ pub struct PktTok {
 
 impl PktTok {
     /// Build the token for `pkt`, resident in arena slot `slot`.
-    /// `out` must be `pkt.current_out_port()` at the node receiving the
-    /// token.
+    /// `out` must be the route's output port at hop `pkt.hop`, the node
+    /// receiving the token.
     #[inline]
     pub fn of(pkt: &Packet, slot: u32, out: Port) -> Self {
         PktTok {
@@ -141,28 +141,6 @@ impl Packet {
     #[inline]
     pub fn vc(&self) -> Vc {
         self.class.vc()
-    }
-
-    /// Output port at the current hop's switch.
-    #[inline]
-    pub fn current_out_port(&self) -> dqos_topology::Port {
-        self.route
-            .port(self.hop as usize)
-            // tidy: allow(no-unwrap) -- hop is advanced only by switches on
-            // the stamped path, so it cannot pass the route's end.
-            .expect("packet hop index within route")
-    }
-
-    /// Whether the current hop is the last switch before the destination.
-    #[inline]
-    pub fn at_last_hop(&self) -> bool {
-        self.route.is_last_hop(self.hop as usize)
-    }
-
-    /// Advance to the next hop (called when the packet leaves a switch).
-    #[inline]
-    pub fn advance_hop(&mut self) {
-        self.hop += 1;
     }
 }
 
@@ -206,17 +184,5 @@ mod tests {
         let mut p2 = p.clone();
         p2.class = TrafficClass::Background;
         assert_eq!(p2.vc(), Vc::BEST_EFFORT);
-    }
-
-    #[test]
-    fn hop_walk() {
-        let mut p = test_packet();
-        assert_eq!(p.current_out_port(), Port(8));
-        assert!(!p.at_last_hop());
-        p.advance_hop();
-        assert_eq!(p.current_out_port(), Port(1));
-        p.advance_hop();
-        assert!(p.at_last_hop());
-        assert_eq!(p.current_out_port(), Port(1));
     }
 }

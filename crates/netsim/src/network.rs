@@ -145,11 +145,10 @@ impl RunSummary {
         }
     }
 
-    /// JSON value (for result caches next to [`Report::to_json`]).
+    /// JSON value (the diagnostics beside [`Report::to_json`]).
     ///
     /// The fault counters are emitted only when nonzero, so fault-free
-    /// summaries stay byte-identical to pre-fault builds (and old cached
-    /// documents parse unchanged).
+    /// summaries stay byte-identical to pre-fault builds.
     pub fn to_json_value(&self) -> dqos_stats::Json {
         use dqos_stats::Json;
         let mut fields = vec![
@@ -180,36 +179,6 @@ impl RunSummary {
             }
         }
         Json::obj(fields)
-    }
-
-    /// Inverse of [`RunSummary::to_json_value`].
-    pub fn from_json_value(j: &dqos_stats::Json) -> Result<Self, String> {
-        let u = |k: &str| -> Result<u64, String> {
-            j.get(k).and_then(|v| v.as_u64()).ok_or_else(|| format!("missing field {k}"))
-        };
-        // Fault counters are optional: absent means zero.
-        let opt = |k: &str| -> u64 { j.get(k).and_then(|v| v.as_u64()).unwrap_or(0) };
-        Ok(RunSummary {
-            events: u("events")?,
-            injected_packets: u("injected_packets")?,
-            delivered_packets: u("delivered_packets")?,
-            out_of_order: u("out_of_order")?,
-            broken_messages: u("broken_messages")?,
-            residual_packets: u("residual_packets")?,
-            take_over_total: u("take_over_total")?,
-            order_errors: u("order_errors")?,
-            admission_fallbacks: u("admission_fallbacks")? as u32,
-            offered_messages: u("offered_messages")?,
-            peak_in_flight: u("peak_in_flight")?,
-            peak_pending_events: u("peak_pending_events")?,
-            dropped_packets: opt("dropped_packets"),
-            corrupted_packets: opt("corrupted_packets"),
-            credits_lost: opt("credits_lost"),
-            reroutes: opt("reroutes") as u32,
-            reroute_rejections: opt("reroute_rejections") as u32,
-            readmissions: opt("readmissions") as u32,
-            route_invalidations: opt("route_invalidations") as u32,
-        })
     }
 }
 
@@ -788,24 +757,21 @@ mod tests {
     }
 
     #[test]
-    fn summary_json_roundtrips_and_hides_zero_fault_counters() {
+    fn summary_json_hides_zero_fault_counters() {
         let mut cfg = SimConfig::tiny(Architecture::Ideal, 0.2);
         cfg.warmup = SimDuration::from_us(100);
         cfg.measure = SimDuration::from_ms(1);
         let (_, summary) = Network::new(cfg).run();
         let j = summary.to_json_value();
         assert!(j.get("dropped_packets").is_none(), "zero counters stay invisible");
-        let back = RunSummary::from_json_value(&j).unwrap();
-        assert_eq!(back.events, summary.events);
-        assert_eq!(back.dropped_packets, 0);
+        assert_eq!(j.get("events"), Some(&dqos_stats::Json::Int(summary.events as i128)));
         let mut faulty = summary;
         faulty.dropped_packets = 7;
         faulty.reroutes = 2;
         let j2 = faulty.to_json_value();
-        let back2 = RunSummary::from_json_value(&j2).unwrap();
-        assert_eq!(back2.dropped_packets, 7);
-        assert_eq!(back2.reroutes, 2);
-        assert_eq!(back2.credits_lost, 0);
+        assert_eq!(j2.get("dropped_packets"), Some(&dqos_stats::Json::Int(7)));
+        assert_eq!(j2.get("reroutes"), Some(&dqos_stats::Json::Int(2)));
+        assert!(j2.get("credits_lost").is_none());
     }
 
     #[test]

@@ -193,24 +193,6 @@ impl LogHistogram {
             ("max", Json::Int(self.max as i128)),
         ])
     }
-
-    /// Rebuild from [`LogHistogram::to_json`] output.
-    pub fn from_json(j: &crate::json::Json) -> Option<Self> {
-        let mut h = LogHistogram::new();
-        for pair in j.get("counts")?.as_arr()? {
-            let pair = pair.as_arr()?;
-            let i = pair.first()?.as_u64()? as usize;
-            if i >= h.counts.len() {
-                return None;
-            }
-            h.counts[i] = pair.get(1)?.as_u64()?;
-        }
-        h.total = j.get("total")?.as_u64()?;
-        h.sum = j.get("sum")?.as_u128()?;
-        h.min = j.get("min")?.as_u64()?;
-        h.max = j.get("max")?.as_u64()?;
-        Some(h)
-    }
 }
 
 #[cfg(test)]
@@ -337,22 +319,17 @@ mod tests {
         assert_eq!(h.max(), u64::MAX);
         assert_eq!(h.quantile(0.5), u64::MAX);
         assert_eq!(h.mean(), u64::MAX as f64);
-        let j = h.to_json();
-        let back = LogHistogram::from_json(&j).expect("roundtrip");
-        assert_eq!(back.count(), 1000);
-        assert_eq!(back.max(), u64::MAX);
     }
 
     #[test]
-    fn empty_histogram_json_roundtrip() {
-        // The empty sentinel (min = u64::MAX, max = 0) must survive
-        // serialisation without inventing samples.
+    fn empty_histogram_reads_as_zero() {
+        // The empty sentinel (min = u64::MAX, max = 0) must not leak
+        // out of the accessors as a sample.
         let h = LogHistogram::new();
-        let back = LogHistogram::from_json(&h.to_json()).expect("roundtrip");
-        assert_eq!(back.count(), 0);
-        assert_eq!(back.min(), 0);
-        assert_eq!(back.max(), 0);
-        assert!(back.cdf().is_empty());
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.min(), 0);
+        assert_eq!(h.max(), 0);
+        assert!(h.cdf().is_empty());
     }
 
     /// Shared check for the merged-quantile bound: for every probed q,

@@ -113,23 +113,6 @@ impl JitterTracker {
             ("m2", Json::Float(self.m2)),
         ])
     }
-
-    /// Rebuild from [`JitterTracker::to_json`] output.
-    pub fn from_json(j: &crate::json::Json) -> Option<Self> {
-        use crate::json::Json;
-        let last = match j.get("last")? {
-            Json::Null => None,
-            v => Some(v.as_u64()?),
-        };
-        Some(JitterTracker {
-            last,
-            abs_diff_sum: j.get("abs_diff_sum")?.as_u128()?,
-            abs_diff_count: j.get("abs_diff_count")?.as_u64()?,
-            n: j.get("n")?.as_u64()?,
-            mean: j.get("mean")?.as_f64()?,
-            m2: j.get("m2")?.as_f64()?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -195,9 +178,6 @@ mod tests {
         assert_eq!(j.count(), 0);
         assert_eq!(j.mean_abs_delta(), 0.0);
         assert_eq!(j.std_dev(), 0.0);
-        let back = JitterTracker::from_json(&j.to_json()).expect("roundtrip");
-        assert_eq!(back.count(), 0);
-        assert_eq!(back.mean_abs_delta(), 0.0);
     }
 
     #[test]
@@ -220,9 +200,6 @@ mod tests {
         assert_eq!(j.count(), 64);
         assert_eq!(j.mean_abs_delta(), u64::MAX as f64);
         assert!(j.std_dev() > 0.0 && j.std_dev().is_finite());
-        let back = JitterTracker::from_json(&j.to_json()).expect("roundtrip");
-        assert_eq!(back.count(), 64);
-        assert_eq!(back.mean_abs_delta(), u64::MAX as f64);
     }
 
     #[test]

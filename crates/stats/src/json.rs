@@ -45,24 +45,6 @@ impl Json {
         }
     }
 
-    /// The integer value, if this is an `Int`.
-    pub fn as_i128(&self) -> Option<i128> {
-        match *self {
-            Json::Int(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The integer value as `u64`, if it fits.
-    pub fn as_u64(&self) -> Option<u64> {
-        self.as_i128().and_then(|v| u64::try_from(v).ok())
-    }
-
-    /// The integer value as `u128`, if non-negative.
-    pub fn as_u128(&self) -> Option<u128> {
-        self.as_i128().and_then(|v| u128::try_from(v).ok())
-    }
-
     /// The numeric value as `f64` (accepts both `Int` and `Float`).
     pub fn as_f64(&self) -> Option<f64> {
         match *self {
@@ -433,7 +415,7 @@ mod tests {
     #[test]
     fn object_lookup() {
         let doc = Json::obj(vec![("a", Json::Int(1)), ("b", Json::Bool(true))]);
-        assert_eq!(doc.get("a").and_then(Json::as_u64), Some(1));
+        assert_eq!(doc.get("a"), Some(&Json::Int(1)));
         assert_eq!(doc.get("b").and_then(Json::as_bool), Some(true));
         assert!(doc.get("c").is_none());
     }

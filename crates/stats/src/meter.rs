@@ -63,15 +63,6 @@ impl ThroughputMeter {
             ("messages", Json::Int(self.messages as i128)),
         ])
     }
-
-    /// Rebuild from [`ThroughputMeter::to_json`] output.
-    pub fn from_json(j: &crate::json::Json) -> Option<Self> {
-        Some(ThroughputMeter {
-            bytes: j.get("bytes")?.as_u64()?,
-            packets: j.get("packets")?.as_u64()?,
-            messages: j.get("messages")?.as_u64()?,
-        })
-    }
 }
 
 #[cfg(test)]

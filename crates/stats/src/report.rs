@@ -48,18 +48,6 @@ impl ClassStats {
             ("jitter", self.jitter.to_json()),
         ])
     }
-
-    /// Rebuild from [`ClassStats::to_json_value`] output.
-    pub fn from_json_value(j: &Json) -> Option<Self> {
-        Some(ClassStats {
-            name: j.get("name")?.as_str()?.to_string(),
-            packet_latency: LogHistogram::from_json(j.get("packet_latency")?)?,
-            message_latency: LogHistogram::from_json(j.get("message_latency")?)?,
-            delivered: ThroughputMeter::from_json(j.get("delivered")?)?,
-            offered: ThroughputMeter::from_json(j.get("offered")?)?,
-            jitter: JitterTracker::from_json(j.get("jitter")?)?,
-        })
-    }
 }
 
 /// Per-class loss accounting for a fault-injected run.
@@ -85,15 +73,6 @@ impl FaultClassLoss {
             ("corrupted", Json::Int(self.corrupted as i128)),
             ("deadline_miss", Json::Int(self.deadline_miss as i128)),
         ])
-    }
-
-    fn from_json_value(j: &Json) -> Option<Self> {
-        Some(FaultClassLoss {
-            class: j.get("class")?.as_str()?.to_string(),
-            dropped: j.get("dropped")?.as_u64()?,
-            corrupted: j.get("corrupted")?.as_u64()?,
-            deadline_miss: j.get("deadline_miss")?.as_u64()?,
-        })
     }
 }
 
@@ -139,22 +118,6 @@ impl FaultReport {
             ("reroute_rejections", Json::Int(self.reroute_rejections as i128)),
             ("readmissions", Json::Int(self.readmissions as i128)),
         ])
-    }
-
-    /// Rebuild from [`FaultReport::to_json_value`] output.
-    pub fn from_json_value(j: &Json) -> Option<Self> {
-        Some(FaultReport {
-            classes: j
-                .get("classes")?
-                .as_arr()?
-                .iter()
-                .map(FaultClassLoss::from_json_value)
-                .collect::<Option<Vec<_>>>()?,
-            credits_lost: j.get("credits_lost")?.as_u64()?,
-            reroutes: j.get("reroutes")?.as_u64()? as u32,
-            reroute_rejections: j.get("reroute_rejections")?.as_u64()? as u32,
-            readmissions: j.get("readmissions")?.as_u64()? as u32,
-        })
     }
 }
 
@@ -260,40 +223,6 @@ impl TraceReport {
                 ),
             ),
         ])
-    }
-
-    /// Rebuild from [`TraceReport::to_json_value`] output.
-    pub fn from_json_value(j: &Json) -> Option<Self> {
-        Some(TraceReport {
-            events: j.get("events")?.as_u64()?,
-            dropped_events: j.get("dropped_events")?.as_u64()?,
-            incomplete: j.get("incomplete")?.as_u64()?,
-            classes: j
-                .get("classes")?
-                .as_arr()?
-                .iter()
-                .map(|c| {
-                    Some(TraceClassSlack {
-                        class: c.get("class")?.as_str()?.to_string(),
-                        delivered: c.get("delivered")?.as_u64()?,
-                        missed: c.get("missed")?.as_u64()?,
-                        miss_ns: c.get("miss_ns")?.as_u64()?,
-                        initial_slack_ns: c.get("initial_slack_ns")?.as_i128()? as i64,
-                        stages: c
-                            .get("stages")?
-                            .as_arr()?
-                            .iter()
-                            .map(|s| {
-                                Some(StageSlack {
-                                    stage: s.get("stage")?.as_str()?.to_string(),
-                                    ns: s.get("ns")?.as_u64()?,
-                                })
-                            })
-                            .collect::<Option<Vec<_>>>()?,
-                    })
-                })
-                .collect::<Option<Vec<_>>>()?,
-        })
     }
 }
 
@@ -434,36 +363,6 @@ impl Report {
         }
         Json::obj(fields)
     }
-
-    /// Parse a report previously rendered by [`Report::to_json`].
-    pub fn from_json(text: &str) -> Result<Report, String> {
-        let j = Json::parse(text)?;
-        Self::from_json_value(&j).ok_or_else(|| "malformed report document".to_string())
-    }
-
-    /// Rebuild from [`Report::to_json_value`] output.
-    pub fn from_json_value(j: &Json) -> Option<Report> {
-        Some(Report {
-            architecture: j.get("architecture")?.as_str()?.to_string(),
-            load: j.get("load")?.as_f64()?,
-            window_start: SimTime::from_ns(j.get("window_start_ns")?.as_u64()?),
-            window_end: SimTime::from_ns(j.get("window_end_ns")?.as_u64()?),
-            classes: j
-                .get("classes")?
-                .as_arr()?
-                .iter()
-                .map(ClassStats::from_json_value)
-                .collect::<Option<Vec<_>>>()?,
-            faults: match j.get("faults") {
-                Some(f) => Some(FaultReport::from_json_value(f)?),
-                None => None,
-            },
-            trace: match j.get("trace") {
-                Some(t) => Some(TraceReport::from_json_value(t)?),
-                None => None,
-            },
-        })
-    }
 }
 
 /// Render a CDF as two-column text (`value fraction`), the format of the
@@ -524,21 +423,18 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
+    fn json_renders_every_class_in_order() {
         let r = sample_report();
-        let j = r.to_json();
-        let back = Report::from_json(&j).unwrap();
-        assert_eq!(back.architecture, r.architecture);
-        assert_eq!(back.classes.len(), 2);
-        assert_eq!(back.class("Control").unwrap().packet_latency.count(), 100);
-        // The whole tree roundtrips, not just the spot-checked fields:
-        // render → parse → render is a fixed point.
-        assert_eq!(back.to_json(), j);
-        // All measured quantities survive exactly.
-        let (a, b) = (r.class("Multimedia").unwrap(), back.class("Multimedia").unwrap());
-        assert_eq!(a.jitter.count(), b.jitter.count());
-        assert_eq!(a.jitter.std_dev().to_bits(), b.jitter.std_dev().to_bits());
-        assert_eq!(a.message_latency.quantile(0.5), b.message_latency.quantile(0.5));
+        let doc = Json::parse(&r.to_json()).unwrap();
+        assert_eq!(doc.get("architecture").and_then(Json::as_str), Some("Advanced 2 VCs"));
+        let names: Vec<_> = doc
+            .get("classes")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|c| c.get("name").and_then(Json::as_str).unwrap())
+            .collect();
+        assert_eq!(names, ["Control", "Multimedia"]);
     }
 
     #[test]
@@ -548,7 +444,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_report_roundtrips() {
+    fn fault_report_renders_and_totals() {
         let mut r = sample_report();
         r.faults = Some(FaultReport {
             classes: vec![
@@ -560,22 +456,16 @@ mod tests {
             reroute_rejections: 2,
             readmissions: 4,
         });
-        let j = r.to_json();
-        assert!(j.contains("faults"));
-        let back = Report::from_json(&j).unwrap();
-        assert_eq!(back.faults, r.faults);
-        assert_eq!(back.to_json(), j, "render → parse → render is a fixed point");
-        let f = back.faults.unwrap();
+        assert!(r.to_json().contains("\"faults\""));
+        let f = r.faults.as_ref().unwrap();
         assert_eq!(f.total_dropped(), 20);
         assert_eq!(f.class("Multimedia").unwrap().deadline_miss, 5);
         // The table gains a faults footer.
-        let mut r2 = sample_report();
-        r2.faults = Some(f);
-        assert!(r2.to_table().contains("# faults: dropped 20"));
+        assert!(r.to_table().contains("# faults: dropped 20"));
     }
 
     #[test]
-    fn trace_report_roundtrips_and_key_is_omitted_when_absent() {
+    fn trace_report_renders_and_key_is_omitted_when_absent() {
         let r = sample_report();
         assert!(!r.to_json().contains("\"trace\""), "untraced runs omit the key");
         let mut traced = sample_report();
@@ -595,14 +485,10 @@ mod tests {
                 ],
             }],
         });
-        let j = traced.to_json();
-        let back = Report::from_json(&j).unwrap();
-        assert_eq!(back.trace, traced.trace);
-        assert_eq!(back.to_json(), j, "render → parse → render is a fixed point");
-        let t = back.trace.unwrap();
+        assert!(traced.to_json().contains("\"trace\""));
+        let t = traced.trace.as_ref().unwrap();
         assert_eq!(t.total_missed(), 2);
         let c = t.class("Multimedia").unwrap();
-        // The exact attribution identity survives serialisation.
         assert_eq!(c.stage_total_ns() as i64 - c.initial_slack_ns, c.miss_ns as i64);
         // The table gains a trace footer with the stage breakdown.
         let table = traced.to_table();

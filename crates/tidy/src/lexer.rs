@@ -76,12 +76,6 @@ pub enum DirectiveKind {
         /// Why the weaker ordering is sound.
         reason: String,
     },
-    /// `// tidy: lock-order(a < b < c)` — file-level declaration of the
-    /// order locks must be acquired in when held simultaneously.
-    LockOrder {
-        /// Lock names, outermost first.
-        order: Vec<String>,
-    },
     /// `// tidy: hot-path` — file-level declaration that this module is
     /// on the per-event hot path: rule `hot-path-alloc` forbids heap
     /// allocation inside loop bodies here.
@@ -459,20 +453,6 @@ fn parse_tidy(rest: &str) -> Result<DirectiveKind, String> {
     if rest == "hot-path" {
         return Ok(DirectiveKind::HotPath);
     }
-    if let Some(args) = rest.strip_prefix("lock-order(") {
-        let Some(close) = args.find(')') else {
-            return Err("unclosed `lock-order(`".to_string());
-        };
-        let order: Vec<String> = args[..close]
-            .split('<')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect();
-        if order.len() < 2 {
-            return Err("`lock-order(a < b)` needs at least two lock names".to_string());
-        }
-        return Ok(DirectiveKind::LockOrder { order });
-    }
     Err(format!("unknown tidy directive {rest:?}"))
 }
 
@@ -520,23 +500,18 @@ mod tests {
 // tidy: allow(no-unwrap) -- invariant: pop follows successful peek
 // tidy: sorted-before-use -- keys are collected and sorted two lines down
 // ordering: counter is monotonic; readers only need eventual visibility
-// tidy: lock-order(inbox < error)
 // tidy: hot-path
 ";
         let l = lex(src);
         assert_eq!(l.errors, vec![]);
-        assert_eq!(l.directives.len(), 5);
+        assert_eq!(l.directives.len(), 4);
         assert!(matches!(
             &l.directives[0].kind,
             DirectiveKind::Allow { rule, .. } if rule == "no-unwrap"
         ));
         assert!(matches!(&l.directives[1].kind, DirectiveKind::SortedBeforeUse { .. }));
         assert!(matches!(&l.directives[2].kind, DirectiveKind::Ordering { .. }));
-        assert!(matches!(
-            &l.directives[3].kind,
-            DirectiveKind::LockOrder { order } if order == &["inbox", "error"]
-        ));
-        assert!(matches!(&l.directives[4].kind, DirectiveKind::HotPath));
+        assert!(matches!(&l.directives[3].kind, DirectiveKind::HotPath));
     }
 
     #[test]

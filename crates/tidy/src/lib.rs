@@ -15,8 +15,8 @@
 //!   unordered-container iteration, no float equality in simulation
 //!   library code;
 //! * **concurrency hygiene** — relaxed atomic orderings need written
-//!   justification, multi-lock files declare and respect a lock order,
-//!   `unsafe` is forbidden;
+//!   justification, hot-path modules stay lock-free and route atomics
+//!   through the checker's shim, `unsafe` is forbidden;
 //! * **robustness** — library code returns structured errors instead
 //!   of panicking, and never prints to the terminal (exporters and
 //!   reports go through writers or returned strings).

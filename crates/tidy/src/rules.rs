@@ -70,10 +70,6 @@ pub const RULES: &[RuleInfo] = &[
                justification (SeqCst is the unjustified default)",
     },
     RuleInfo {
-        id: "lock-order",
-        what: "files with a `tidy: lock-order(...)` declaration must acquire locks in that order",
-    },
-    RuleInfo {
         id: "hot-path-sync",
         what: "modules declaring `tidy: hot-path` must not use blocking sync primitives (Barrier, \
                Mutex, RwLock, Condvar) in library code: the steady-state path is lock-free \
@@ -137,8 +133,6 @@ pub struct FileClass {
     pub is_lib: bool,
     /// This file is a crate root and must carry `#![forbid(unsafe_code)]`.
     pub is_crate_root: bool,
-    /// This file must declare a `tidy: lock-order(...)`.
-    pub requires_lock_order: bool,
     /// File is on the unsafe allowlist.
     pub allow_unsafe: bool,
     /// File may touch `std::net`/`std::process` (the daemon's socket
@@ -153,7 +147,6 @@ impl FileClass {
             is_sim: true,
             is_lib: true,
             is_crate_root: false,
-            requires_lock_order: false,
             allow_unsafe: false,
             allow_net: false,
         }
@@ -189,7 +182,7 @@ pub fn check_source(path: &str, src: &str, class: &FileClass) -> Vec<Finding> {
     let mut supps: Vec<Suppression> = lexed
         .directives
         .iter()
-        .filter(|d| !matches!(d.kind, DirectiveKind::LockOrder { .. } | DirectiveKind::HotPath))
+        .filter(|d| !matches!(d.kind, DirectiveKind::HotPath))
         .map(|d| Suppression {
             kind: d.kind.clone(),
             line: d.line,
@@ -197,10 +190,6 @@ pub fn check_source(path: &str, src: &str, class: &FileClass) -> Vec<Finding> {
             used: false,
         })
         .collect();
-    let lock_order: Option<Vec<String>> = lexed.directives.iter().find_map(|d| match &d.kind {
-        DirectiveKind::LockOrder { order } => Some(order.clone()),
-        _ => None,
-    });
     let hot_path = lexed.directives.iter().any(|d| matches!(d.kind, DirectiveKind::HotPath));
 
     // Emit a finding unless a matching justification covers its line.
@@ -211,7 +200,7 @@ pub fn check_source(path: &str, src: &str, class: &FileClass) -> Vec<Finding> {
                 DirectiveKind::Allow { rule: r, .. } => r == rule,
                 DirectiveKind::SortedBeforeUse { .. } => rule == "hash-iter",
                 DirectiveKind::Ordering { .. } => rule == "atomic-ordering",
-                DirectiveKind::LockOrder { .. } | DirectiveKind::HotPath => false,
+                DirectiveKind::HotPath => false,
             };
             if covers && matches_rule {
                 s.used = true;
@@ -476,35 +465,12 @@ pub fn check_source(path: &str, src: &str, class: &FileClass) -> Vec<Finding> {
         );
     }
 
-    match (&lock_order, class.requires_lock_order) {
-        (None, true) => emit(
-            "lock-order",
-            1,
-            "this file takes multiple locks and must declare \
-             `// tidy: lock-order(a < b)`"
-                .to_string(),
-            &mut supps,
-        ),
-        (Some(order), _) => {
-            // Route through `emit` so `tidy: allow(lock-order)` can cover
-            // individual acquisitions (e.g. a generic lock helper whose
-            // receiver name is a type parameter, not a real lock).
-            let mut lo = Vec::new();
-            check_lock_order(path, toks, order, &mut lo);
-            for f in lo {
-                emit("lock-order", f.line, f.msg, &mut supps);
-            }
-        }
-        (None, false) => {}
-    }
-
     for s in &supps {
         if !s.used {
             let what = match &s.kind {
                 DirectiveKind::Allow { rule, .. } => format!("allow({rule})"),
                 DirectiveKind::SortedBeforeUse { .. } => "sorted-before-use".to_string(),
                 DirectiveKind::Ordering { .. } => "ordering:".to_string(),
-                DirectiveKind::LockOrder { .. } => "lock-order".to_string(),
                 DirectiveKind::HotPath => "hot-path".to_string(),
             };
             findings.push(Finding {
@@ -731,103 +697,6 @@ fn item_end(toks: &[Tok], start: usize) -> usize {
         i += 1;
     }
     toks.len().saturating_sub(1)
-}
-
-/// Enforce a declared lock order: scanning the file, every `.lock(`
-/// acquisition must name a declared lock, and a lock may only be
-/// acquired while all currently-held locks precede it in the declared
-/// order. Held-until is approximated as "to the end of the enclosing
-/// block", which is conservative (guards can drop earlier) but exact
-/// for the `let guard = x.lock()…` shape.
-fn check_lock_order(path: &str, toks: &[Tok], order: &[String], findings: &mut Vec<Finding>) {
-    let idx_of = |name: &str| order.iter().position(|o| o == name);
-    let mut held: Vec<(String, i32)> = Vec::new();
-    let mut depth = 0i32;
-    let mut i = 0usize;
-    while i < toks.len() {
-        let t = &toks[i];
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "{" => depth += 1,
-                "}" => {
-                    depth -= 1;
-                    held.retain(|&(_, d)| d <= depth);
-                }
-                "." if ident_in(toks, i + 1, &["lock"]) && punct(toks, i + 2, "(") => {
-                    let name = receiver_name(toks, i);
-                    let line = toks[i + 1].line;
-                    match name.as_deref().and_then(idx_of) {
-                        None => findings.push(Finding {
-                            path: path.to_string(),
-                            line,
-                            rule: "lock-order",
-                            msg: format!(
-                                "lock `{}` is not in the declared lock-order ({})",
-                                name.as_deref().unwrap_or("<unknown>"),
-                                order.join(" < ")
-                            ),
-                        }),
-                        Some(my) => {
-                            for (h, _) in &held {
-                                if idx_of(h).is_some_and(|hi| hi > my) {
-                                    findings.push(Finding {
-                                        path: path.to_string(),
-                                        line,
-                                        rule: "lock-order",
-                                        msg: format!(
-                                            "acquiring `{}` while holding `{h}` violates the \
-                                             declared order ({})",
-                                            order[my],
-                                            order.join(" < ")
-                                        ),
-                                    });
-                                }
-                            }
-                            held.push((order[my].clone(), depth));
-                        }
-                    }
-                    i += 2;
-                }
-                _ => {}
-            }
-        }
-        i += 1;
-    }
-}
-
-/// Name of the receiver of the `.lock()` whose dot is at `dot`: the
-/// identifier before the dot, skipping one balanced `[…]`/`(…)` group
-/// (for `slots[part].lock()` shapes).
-fn receiver_name(toks: &[Tok], dot: usize) -> Option<String> {
-    if dot == 0 {
-        return None;
-    }
-    let mut j = dot - 1;
-    if toks[j].kind == TokKind::Punct && (toks[j].text == "]" || toks[j].text == ")") {
-        let (c, o) = if toks[j].text == "]" { ("]", "[") } else { (")", "(") };
-        let mut depth = 0i32;
-        loop {
-            if toks[j].kind == TokKind::Punct {
-                if toks[j].text == c {
-                    depth += 1;
-                } else if toks[j].text == o {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-            }
-            if j == 0 {
-                return None;
-            }
-            j -= 1;
-        }
-        if j == 0 {
-            return None;
-        }
-        j -= 1;
-    }
-    (toks[j].kind == TokKind::Ident).then(|| toks[j].text.clone())
 }
 
 #[cfg(test)]

@@ -21,12 +21,6 @@ const NON_SIM_CRATES: &[&str] = &["bench", "tidy", "mcheck-rt"];
 /// future exception must land here with a PR-reviewed rationale.
 const UNSAFE_ALLOWLIST: &[&str] = &[];
 
-/// Files that take multiple locks and must declare a
-/// `// tidy: lock-order(...)`. Deliberately empty: no library file nests
-/// two locks. Any future file that does must land here with its
-/// declared order.
-const LOCK_ORDER_REQUIRED: &[&str] = &[];
-
 /// The only library files allowed to touch `std::net`/`std::process`:
 /// the daemon's real-socket transport. Everything else — including the
 /// rest of `dqosd` — runs on the deterministic loopback transport, so
@@ -49,7 +43,6 @@ pub fn classify(rel: &str) -> FileClass {
         is_sim: !NON_SIM_CRATES.contains(&crate_name),
         is_lib,
         is_crate_root,
-        requires_lock_order: LOCK_ORDER_REQUIRED.contains(&rel),
         allow_unsafe: UNSAFE_ALLOWLIST.contains(&rel),
         allow_net: NET_ALLOWLIST.contains(&rel),
     }
@@ -125,7 +118,7 @@ mod tests {
     #[test]
     fn classification_matrix() {
         let c = classify("crates/sim-core/src/exec.rs");
-        assert!(c.is_sim && c.is_lib && !c.requires_lock_order && !c.is_crate_root);
+        assert!(c.is_sim && c.is_lib && !c.is_crate_root);
         let c = classify("crates/bench/src/lib.rs");
         assert!(!c.is_sim && c.is_lib && c.is_crate_root);
         let c = classify("crates/tidy/src/main.rs");

@@ -46,12 +46,6 @@ fn crate_root_class() -> FileClass {
     c
 }
 
-fn lock_order_class() -> FileClass {
-    let mut c = FileClass::sim_lib();
-    c.requires_lock_order = true;
-    c
-}
-
 #[test]
 fn wall_clock() {
     assert_pair(
@@ -109,27 +103,6 @@ fn atomic_ordering() {
         include_str!("fixtures/bad_atomic_ordering.rs"),
         include_str!("fixtures/ok_atomic_ordering.rs"),
         &FileClass::sim_lib(),
-    );
-}
-
-#[test]
-fn lock_order() {
-    assert_pair(
-        "lock-order",
-        include_str!("fixtures/bad_lock_order.rs"),
-        include_str!("fixtures/ok_lock_order.rs"),
-        &lock_order_class(),
-    );
-}
-
-#[test]
-fn lock_order_missing_declaration_fires() {
-    // A file classified as lock-order-required but carrying no
-    // `tidy: lock-order(...)` declaration is itself a finding.
-    let findings = run("bad", "pub fn f() {}\n", &lock_order_class());
-    assert!(
-        findings.iter().any(|f| f.rule == "lock-order"),
-        "missing declaration did not fire lock-order; got {findings:?}"
     );
 }
 
@@ -300,7 +273,6 @@ fn every_rule_has_a_fixture_pair() {
         "float-eq",
         "float-ord",
         "atomic-ordering",
-        "lock-order",
         "unsafe-code",
         "forbid-unsafe",
         "no-print",

@@ -136,13 +136,6 @@ impl PortPath {
             None
         }
     }
-
-    /// Whether `idx` is the final switch (its output port reaches the
-    /// destination host).
-    #[inline]
-    pub fn is_last_hop(&self, idx: usize) -> bool {
-        idx + 1 == self.len as usize
-    }
 }
 
 #[cfg(test)]
@@ -182,15 +175,12 @@ mod tests {
         assert_eq!(p.port(1), Some(Port(1)));
         assert_eq!(p.port(2), Some(Port(3)));
         assert_eq!(p.port(3), None);
-        assert!(!p.is_last_hop(1));
-        assert!(p.is_last_hop(2));
     }
 
     #[test]
     fn port_path_from_explicit_ports() {
         let p = PortPath::new(&[Port(5)]);
         assert_eq!(p.len(), 1);
-        assert!(p.is_last_hop(0));
         assert_eq!(p.port(0), Some(Port(5)));
     }
 }

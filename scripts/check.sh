@@ -26,6 +26,10 @@
 #      must stay above DQOS_PERF_GATE_PCT% (default 75) of the rate the
 #      committed file recorded before the rerun. Set
 #      DQOS_PERF_GATE_PCT=0 to disable on hosts too noisy to gate.
+#      Then the figures bench on a tiny sweep (16 hosts, 1 ms windows,
+#      two loads), so its per-class and per-cell lookups run in every
+#      gate, not only when a figure is regenerated. It overwrites
+#      target/figures/*.dat with the tiny sweep's data.
 #   4. fault_matrix example: fault-injection smoke ({link-drop,
 #      spine-down, clock-drift} each run twice, byte-identical; empty
 #      plan perfectly inert).
@@ -90,6 +94,9 @@ if [ -n "$baseline_rate" ] && [ -n "$new_rate" ] && [ "$gate_pct" != "0" ]; then
     exit 1
   }
 fi
+
+DQOS_HOSTS=16 DQOS_WARMUP_MS=1 DQOS_MEASURE_MS=1 DQOS_LOADS=0.4,0.8 \
+  cargo bench -q --offline -p dqos-bench --bench figures > /dev/null
 
 cargo run --release --offline --example fault_matrix
 cargo test -q --offline --release --test paper_conformance --test trace_determinism --test dqosd_chaos
