@@ -248,37 +248,18 @@ pub fn print_cdf(
 /// Dependency-free timing harness for the micro-benches.
 ///
 /// Each measurement runs the workload once to warm caches, then `runs`
-/// timed repetitions; the *median* per-element time is reported (robust
-/// to scheduler noise without criterion's machinery), with the fastest
-/// and slowest repetition beside it as the spread.
+/// timed repetitions, and prints the *median* per-element time (robust
+/// to scheduler noise without criterion's machinery) with the fastest
+/// and slowest repetition beside it as the spread. Nothing is recorded:
+/// perfbench (`perfbench/run.py`) is the repository's performance
+/// record.
 pub mod harness {
     use std::hint::black_box;
     use std::time::Instant;
 
-    /// One measured workload.
-    #[derive(Debug, Clone)]
-    pub struct Measurement {
-        /// Workload name (`group/case`).
-        pub name: String,
-        /// Elements processed per repetition.
-        pub elements: u64,
-        /// Median nanoseconds per element.
-        pub ns_per_elem: f64,
-        /// Fastest repetition's nanoseconds per element.
-        pub ns_per_elem_min: f64,
-        /// Slowest repetition's nanoseconds per element.
-        pub ns_per_elem_max: f64,
-        /// Median element rate per second.
-        pub rate_per_sec: f64,
-    }
-
-    /// Time `f`, which processes `elements` items per call.
-    pub fn measure<R>(
-        name: &str,
-        elements: u64,
-        runs: usize,
-        mut f: impl FnMut() -> R,
-    ) -> Measurement {
+    /// Time `f`, which processes `elements` items per call, and print
+    /// one `name median [min..max] rate` row.
+    pub fn measure<R>(name: &str, elements: u64, runs: usize, mut f: impl FnMut() -> R) {
         black_box(f()); // warm-up
         let mut samples: Vec<f64> = (0..runs.max(1))
             .map(|_| {
@@ -288,56 +269,16 @@ pub mod harness {
             })
             .collect();
         samples.sort_by(|a, b| a.total_cmp(b));
-        let ns_per_elem = samples[samples.len() / 2];
-        let m = Measurement {
-            name: name.to_string(),
-            elements,
-            ns_per_elem,
-            ns_per_elem_min: samples[0],
-            ns_per_elem_max: samples[samples.len() - 1],
-            rate_per_sec: 1e9 / ns_per_elem,
-        };
+        let median = samples[samples.len() / 2];
         println!(
             "{:<40} {:>10.1} ns/elem [{:.1}..{:.1}] {:>14.0} elem/s",
-            m.name, m.ns_per_elem, m.ns_per_elem_min, m.ns_per_elem_max, m.rate_per_sec
+            name,
+            median,
+            samples[0],
+            samples[samples.len() - 1],
+            1e9 / median
         );
-        m
     }
-
-    /// Write measurements (plus extra scalar entries) as a JSON object to
-    /// `path`, one `name -> {ns_per_elem, ns_per_elem_min,
-    /// ns_per_elem_max, rate_per_sec, elements}` entry per measurement. The file is rewritten whole: git holds its
-    /// history.
-    pub fn write_json(path: &std::path::Path, ms: &[Measurement], extra: &[(&str, f64)]) {
-        use dqos_stats::Json;
-        let mut fields: Vec<(&str, Json)> = ms
-            .iter()
-            .map(|m| {
-                (
-                    m.name.as_str(),
-                    Json::obj(vec![
-                        ("ns_per_elem", Json::Float(m.ns_per_elem)),
-                        ("ns_per_elem_min", Json::Float(m.ns_per_elem_min)),
-                        ("ns_per_elem_max", Json::Float(m.ns_per_elem_max)),
-                        ("rate_per_sec", Json::Float(m.rate_per_sec)),
-                        ("elements", Json::Int(m.elements as i128)),
-                    ]),
-                )
-            })
-            .collect();
-        fields.extend(extra.iter().map(|(k, v)| (*k, Json::Float(*v))));
-        let doc = Json::obj(fields).to_string_pretty();
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("wrote {}", path.display());
-        }
-    }
-}
-
-/// The repository root (bench binaries run with `crates/bench` as CWD).
-pub fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 #[cfg(test)]

@@ -144,42 +144,6 @@ impl RunSummary {
             panic!("{e}");
         }
     }
-
-    /// JSON value (the diagnostics beside [`Report::to_json`]).
-    ///
-    /// The fault counters are emitted only when nonzero, so fault-free
-    /// summaries stay byte-identical to pre-fault builds.
-    pub fn to_json_value(&self) -> dqos_stats::Json {
-        use dqos_stats::Json;
-        let mut fields = vec![
-            ("events", Json::Int(self.events as i128)),
-            ("injected_packets", Json::Int(self.injected_packets as i128)),
-            ("delivered_packets", Json::Int(self.delivered_packets as i128)),
-            ("out_of_order", Json::Int(self.out_of_order as i128)),
-            ("broken_messages", Json::Int(self.broken_messages as i128)),
-            ("residual_packets", Json::Int(self.residual_packets as i128)),
-            ("take_over_total", Json::Int(self.take_over_total as i128)),
-            ("order_errors", Json::Int(self.order_errors as i128)),
-            ("admission_fallbacks", Json::Int(self.admission_fallbacks as i128)),
-            ("offered_messages", Json::Int(self.offered_messages as i128)),
-            ("peak_in_flight", Json::Int(self.peak_in_flight as i128)),
-            ("peak_pending_events", Json::Int(self.peak_pending_events as i128)),
-        ];
-        for (k, v) in [
-            ("dropped_packets", self.dropped_packets),
-            ("corrupted_packets", self.corrupted_packets),
-            ("credits_lost", self.credits_lost),
-            ("reroutes", self.reroutes as u64),
-            ("reroute_rejections", self.reroute_rejections as u64),
-            ("readmissions", self.readmissions as u64),
-            ("route_invalidations", self.route_invalidations as u64),
-        ] {
-            if v != 0 {
-                fields.push((k, Json::Int(v as i128)));
-            }
-        }
-        Json::obj(fields)
-    }
 }
 
 /// The assembled simulation.
@@ -754,24 +718,6 @@ mod tests {
         bad2.reroute_rejections = 0;
         bad2.route_invalidations = 1;
         bad2.check().unwrap();
-    }
-
-    #[test]
-    fn summary_json_hides_zero_fault_counters() {
-        let mut cfg = SimConfig::tiny(Architecture::Ideal, 0.2);
-        cfg.warmup = SimDuration::from_us(100);
-        cfg.measure = SimDuration::from_ms(1);
-        let (_, summary) = Network::new(cfg).run();
-        let j = summary.to_json_value();
-        assert!(j.get("dropped_packets").is_none(), "zero counters stay invisible");
-        assert_eq!(j.get("events"), Some(&dqos_stats::Json::Int(summary.events as i128)));
-        let mut faulty = summary;
-        faulty.dropped_packets = 7;
-        faulty.reroutes = 2;
-        let j2 = faulty.to_json_value();
-        assert_eq!(j2.get("dropped_packets"), Some(&dqos_stats::Json::Int(7)));
-        assert_eq!(j2.get("reroutes"), Some(&dqos_stats::Json::Int(2)));
-        assert!(j2.get("credits_lost").is_none());
     }
 
     #[test]

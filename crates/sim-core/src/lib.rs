@@ -13,8 +13,8 @@
 //!   near buckets + sorted overflow) with a monotonically increasing
 //!   sequence number so that events scheduled for the same tick are
 //!   delivered in FIFO order (stable, deterministic tie-breaking).
-//!   [`BinaryHeapQueue`] is the original heap calendar, kept as the
-//!   reference oracle for differential tests and benches.
+//!   [`BinaryHeapQueue`] is the original heap calendar, kept only as the
+//!   reference oracle of the differential tests.
 //! * [`execute`] / [`World`] — the driver loop: one calendar, events in
 //!   `(time, key)` order, timed epochs between them.
 //! * [`rng`] / [`dist`] — a seedable, version-stable PRNG

@@ -7,9 +7,9 @@
 //!   overflow heap). Scheduling and popping are O(1) amortised for the
 //!   dense, short-horizon event patterns a network simulation produces,
 //!   instead of the O(log n) per operation of a binary heap.
-//! * [`BinaryHeapQueue`] — the original binary-heap calendar, kept as the
-//!   reference oracle for differential tests and as the baseline in the
-//!   `event_kernel` bench.
+//! * [`BinaryHeapQueue`] — the original binary-heap calendar, kept only as
+//!   the reference oracle of the differential tests (this module's and
+//!   `tests/calendar_differential.rs`).
 //!
 //! **Semantics contract** (identical for both): events pop in
 //! non-decreasing time order, and events that share a tick pop in the
@@ -106,10 +106,11 @@ const DEFAULT_SHIFT: u32 = 3;
 /// Default wheel size: 1024 buckets × 8 ns ≈ 8 µs horizon, which covers
 /// packet serialisation (~2 µs for an MTU at 8 Gb/s), link flight and
 /// credit round-trips; only far-future events (idle source wake-ups, long
-/// Pareto OFF periods) take the overflow path. Measured on the
-/// `event_kernel` churn workload this geometry beat both wider buckets
-/// (deeper per-bucket sorts) and larger rings (bucket headers and the
-/// occupancy bitmap fall out of cache) at every tested occupancy.
+/// Pareto OFF periods) take the overflow path. On a schedule/pop churn
+/// micro-bench (since retired; git holds it) this geometry beat both
+/// wider buckets (deeper per-bucket sorts) and larger rings (bucket
+/// headers and the occupancy bitmap fall out of cache) at every tested
+/// occupancy; perfbench's `queue.ns_per_op` row prices the calendar now.
 const DEFAULT_BUCKETS: usize = 1024;
 
 /// A discrete-event calendar (two-level bucketed implementation).
@@ -429,8 +430,7 @@ impl<E> EventQueue<E> {
 /// The original binary-heap calendar, kept as the reference oracle.
 ///
 /// Same API and semantics as [`EventQueue`]; differential tests assert
-/// bit-identical pop order between the two, and the `event_kernel` bench
-/// uses it as the baseline the bucketed calendar must beat.
+/// bit-identical pop order between the two. Nothing else uses it.
 #[derive(Debug)]
 pub struct BinaryHeapQueue<E> {
     heap: BinaryHeap<Entry<E>>,
@@ -452,11 +452,6 @@ impl<E> BinaryHeapQueue<E> {
             seq: 0,
             now: SimTime::ZERO,
         }
-    }
-
-    /// An empty calendar with pre-allocated capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        BinaryHeapQueue { heap: BinaryHeap::with_capacity(cap), ..Self::new() }
     }
 
     /// The time of the most recently popped event.

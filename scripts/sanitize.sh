@@ -12,7 +12,7 @@
 # skips gracefully, and the script only fails when a sanitizer that
 # could run found a real problem.
 #
-# Machine-readable outcome: BENCH_sanitize.json records, per tool,
+# Machine-readable outcome: target/BENCH_sanitize.json records, per tool,
 # "ran" | "skipped" | "failed" — so CI (and the next PR) can tell a
 # clean pass from a toolchain-shaped hole in coverage without parsing
 # log text.
@@ -24,13 +24,14 @@ tsan_status=skipped
 status=0
 
 write_report() {
-    cat > BENCH_sanitize.json <<EOF
+    mkdir -p target
+    cat > target/BENCH_sanitize.json <<EOF
 {
   "miri": "$miri_status",
   "tsan": "$tsan_status"
 }
 EOF
-    echo "sanitize: miri=$miri_status tsan=$tsan_status (BENCH_sanitize.json)" >&2
+    echo "sanitize: miri=$miri_status tsan=$tsan_status (target/BENCH_sanitize.json)" >&2
 }
 trap write_report EXIT
 
